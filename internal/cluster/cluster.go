@@ -337,7 +337,10 @@ type run struct {
 	replayOn    bool       // Jukebox replay currently enabled fleet-wide
 	lastEventAt mem.Cycle
 	hedgeP99Ms  float64 // cached P99 latency in ms for the hedge delay
-	res         Result
+	// newLat holds the latencies served since the last merge into the
+	// sorted res.latencies.
+	newLat []float64
+	res    Result
 }
 
 // Run executes the fleet simulation to completion: every flow's requests
@@ -714,7 +717,7 @@ func (r *run) serve(e event, f *flow, n int, out serverless.DispatchOutcome) {
 	r.res.Served++
 	lat := float64(out.Done - e.origAt)
 	r.res.LatencyCycles.Add(lat)
-	r.res.latencies = append(r.res.latencies, lat)
+	r.newLat = append(r.newLat, lat)
 	switch out.Class {
 	case serverless.ClassCold:
 		r.res.ColdServed++
@@ -731,7 +734,8 @@ func (r *run) serve(e event, f *flow, n int, out serverless.DispatchOutcome) {
 	af.workMark = r.nodes[n].work
 	// Refresh the hedge-delay P99 every 32 completions.
 	if r.cfg.HedgeDelayMinMs > 0 && r.res.Served%32 == 0 {
-		r.hedgeP99Ms = stats.Percentile(r.res.latencies, 99) / r.cyclesPerMs
+		r.mergeLatencies()
+		r.hedgeP99Ms = stats.PercentileSorted(r.res.latencies, 99) / r.cyclesPerMs
 	}
 	r.resolve(e, e.attempt == 0)
 }
@@ -787,8 +791,16 @@ func (r *run) nextArrival(e event) {
 		reqKey: reqKey(e.flow, r.cfg.Traffic.InvocationsPerInstance-f.remaining)})
 }
 
+// mergeLatencies folds the latencies served since the last call into the
+// sorted res.latencies.
+func (r *run) mergeLatencies() {
+	r.res.latencies = stats.MergeSorted(r.res.latencies, r.newLat)
+	r.newLat = r.newLat[:0]
+}
+
 // finish seals every node sim and assembles the fleet result.
 func (r *run) finish() Result {
+	r.mergeLatencies()
 	r.res.Nodes = r.cfg.Nodes
 	for _, nd := range r.nodes {
 		pr := nd.sim.Finish()

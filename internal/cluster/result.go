@@ -78,6 +78,9 @@ type Result struct {
 	// PerNode carries each node's full traffic result, in node order.
 	PerNode []serverless.TrafficResult
 
+	// latencies holds the served requests' latencies in ascending order.
+	// The run merges new ones in at each hedge-delay refresh and at the
+	// end, so the refresh's P99 does not re-sort the whole history.
 	latencies []float64
 }
 
@@ -87,13 +90,13 @@ func (r *Result) Availability() float64 {
 }
 
 // P50LatencyCycles reports the median end-to-end latency.
-func (r *Result) P50LatencyCycles() float64 { return stats.Percentile(r.latencies, 50) }
+func (r *Result) P50LatencyCycles() float64 { return stats.PercentileSorted(r.latencies, 50) }
 
 // P95LatencyCycles reports the 95th-percentile end-to-end latency.
-func (r *Result) P95LatencyCycles() float64 { return stats.Percentile(r.latencies, 95) }
+func (r *Result) P95LatencyCycles() float64 { return stats.PercentileSorted(r.latencies, 95) }
 
 // P99LatencyCycles reports the 99th-percentile end-to-end latency.
-func (r *Result) P99LatencyCycles() float64 { return stats.Percentile(r.latencies, 99) }
+func (r *Result) P99LatencyCycles() float64 { return stats.PercentileSorted(r.latencies, 99) }
 
 // PrewarmLedger aggregates every node's predictive pre-warm ledger — the
 // fleet-wide speculation bill. Zero when Traffic.Predict is not armed.

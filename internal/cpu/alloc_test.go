@@ -7,9 +7,10 @@ import (
 )
 
 // TestRunInvocationWarmAllocs pins the steady-state allocation rate of the
-// core's hot loop at zero: once the batch buffer, the pooled walker's plan
-// storage, and the address space's frame chunks exist, serving further
-// invocations must not touch the heap. A regression here silently taxes
+// core's hot loop at zero: once the pipeline's batches, the pooled walker's
+// plan storage, and the address space's frame chunks exist, serving further
+// invocations must not touch the heap, and neither may starting the stage-1
+// goroutine. A regression here silently taxes
 // every simulated instruction, so it fails loudly instead.
 func TestRunInvocationWarmAllocs(t *testing.T) {
 	p := testProgram()

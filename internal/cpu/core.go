@@ -15,16 +15,13 @@ type InstrSource interface {
 }
 
 // batchSource is the bulk-delivery fast path: sources that implement it
-// (program.Invocation, trace.Reader) hand the core whole buffers of
-// instructions, so the inner loop pays no per-instruction interface call.
-// NextBatch must yield exactly the stream repeated Next calls would — the
-// differential tests in internal/check hold the two paths bit-identical.
+// (program.Invocation) hand stage 1 whole buffers of instructions, so the
+// walk pays no per-instruction interface call. NextBatch must yield exactly
+// the stream repeated Next calls would — the differential tests in
+// internal/check hold the two paths bit-identical.
 type batchSource interface {
 	NextBatch(buf []program.Instr) int
 }
-
-// batchLen is the core's instruction-buffer size (a few host cache pages).
-const batchLen = 512
 
 // tdAcc accumulates Top-Down cycles as integers during a run; RunInvocation
 // converts to the float Stack once at the end. Every charge is a
@@ -104,10 +101,6 @@ type Core struct {
 	lastDMissInstr uint64
 	dBurstCount    int
 	instrCount     uint64
-	// curBlock is the current fetch block during a run.
-	curBlock uint64
-	// batch is the reusable instruction buffer for batchSource streams.
-	batch []program.Instr
 }
 
 // NewCore builds a core from cfg with its own full memory hierarchy. The
@@ -153,65 +146,53 @@ func (c *Core) FlushMicroarch() {
 }
 
 // RunInvocation executes one invocation stream to completion and returns its
-// timing decomposition. The prefetcher hooks fire at the boundaries.
+// timing decomposition. The prefetcher hooks fire at the boundaries. A panic
+// raised while walking or translating the stream — including on the stage-1
+// goroutine — reaches the caller with its original value.
 func (c *Core) RunInvocation(inv InstrSource) RunResult {
 	var acc tdAcc
-	var res RunResult
-	mispBefore := c.BP.Stats.Mispredicts
-	resteerBefore := c.BTB.Stats.Resteers
-	start := c.now
+	m := c.begin()
+	n := c.run(inv, &acc)
+	return c.end(m, &acc, n)
+}
 
+// runMark is the core state RunInvocation's result is measured against.
+type runMark struct {
+	start                 mem.Cycle
+	mispredicts, resteers uint64
+}
+
+// begin opens an invocation: it marks the counters and fires
+// InvocationStart, the last point before stage 1 owns the MMU.
+func (c *Core) begin() runMark {
+	m := runMark{start: c.now, mispredicts: c.BP.Stats.Mispredicts, resteers: c.BTB.Stats.Resteers}
 	c.dataObs, _ = c.Prefetcher.(DataObserver)
 	if c.Prefetcher != nil {
 		c.Prefetcher.InvocationStart(c.now)
 	}
+	return m
+}
 
-	c.curBlock = ^uint64(0)
-
-	if bs, ok := inv.(batchSource); ok {
-		if c.batch == nil {
-			c.batch = make([]program.Instr, batchLen)
-		}
-		for {
-			n := bs.NextBatch(c.batch)
-			if n == 0 {
-				break
-			}
-			res.Instrs += uint64(n)
-			for i := range c.batch[:n] {
-				c.exec(&c.batch[i], &acc)
-			}
-		}
-	} else {
-		for {
-			in, ok := inv.Next()
-			if !ok {
-				break
-			}
-			res.Instrs++
-			c.exec(&in, &acc)
-		}
-	}
-
+// end closes an invocation of instrs instructions: it fires InvocationEnd
+// and builds the result.
+func (c *Core) end(m runMark, acc *tdAcc, instrs uint64) RunResult {
 	if c.Prefetcher != nil {
 		c.Prefetcher.InvocationEnd(c.now)
 	}
-
-	var td topdown.Stack
+	res := RunResult{Instrs: instrs, Cycles: c.now - m.start}
 	for cat, cyc := range acc {
-		td.Cycles[cat] = float64(cyc)
+		res.Stack.Cycles[cat] = float64(cyc)
 	}
-	td.AddInstrs(res.Instrs)
-	res.Cycles = c.now - start
-	res.Stack = td
-	res.Mispredicts = c.BP.Stats.Mispredicts - mispBefore
-	res.Resteers = c.BTB.Stats.Resteers - resteerBefore
+	res.Stack.AddInstrs(instrs)
+	res.Mispredicts = c.BP.Stats.Mispredicts - m.mispredicts
+	res.Resteers = c.BTB.Stats.Resteers - m.resteers
 	return res
 }
 
-// exec advances the model by one dynamic instruction.
+// exec is stage 2 for one dynamic instruction; x is stage 1's translation
+// of it.
 //lukewarm:hotpath noalloc,noescape,nobce the per-instruction timing step; everything the simulator measures flows through it
-func (c *Core) exec(in *program.Instr, acc *tdAcc) {
+func (c *Core) exec(in *program.Instr, x *xlat, acc *tdAcc) {
 	c.instrCount++
 
 	// Retiring quantum: one cycle per DispatchWidth instructions.
@@ -223,31 +204,30 @@ func (c *Core) exec(in *program.Instr, acc *tdAcc) {
 	}
 
 	// Front end: new fetch block?
-	if blk := in.VAddr &^ (mem.LineSize - 1); blk != c.curBlock {
-		c.curBlock = blk
-		c.fetchBlock(in.VAddr, acc)
+	if x.newBlock {
+		c.fetchBlock(in.VAddr, x, acc)
 	}
 
 	switch in.Op {
 	case program.OpLoad:
-		c.load(in, acc)
+		c.load(in, x, acc)
 	case program.OpStore:
-		c.store(in, acc)
+		c.store(in, x, acc)
 	case program.OpBranch:
 		c.branch(in, acc)
 	}
 }
 
 // fetchBlock performs the instruction-side access for a new fetch block:
-// ITLB translation, L1-I access, miss-latency exposure with fetch-engine
-// overlap, and prefetcher notification.
+// the ITLB walk's latency, L1-I access, miss-latency exposure with
+// fetch-engine overlap, and prefetcher notification.
 //lukewarm:hotpath noalloc,noescape the batched front-end step, once per 64 B fetch block
-func (c *Core) fetchBlock(vaddr uint64, acc *tdAcc) {
+func (c *Core) fetchBlock(vaddr uint64, x *xlat, acc *tdAcc) {
 	cfg := &c.Cfg
-	paddr, walkLat := c.MMU.TranslateInstr(c.now, vaddr)
-	if walkLat > 0 {
+	paddr := x.fetchPA
+	if x.iwalk != vm.WalkNone {
 		// ITLB miss: the walk serializes instruction delivery.
-		w := walkLat / 2 // PTE reads partially overlap fetch-ahead
+		w := c.MMU.Walker.Latency(c.now, x.iwalk) / 2 // PTE reads partially overlap fetch-ahead
 		c.now += w
 		acc[topdown.FetchLatency] += w
 	}
@@ -291,11 +271,11 @@ func (c *Core) fetchBlock(vaddr uint64, acc *tdAcc) {
 // load performs the data-side access for a load and charges exposed miss
 // latency to Backend Bound under the MLP model.
 //lukewarm:hotpath noalloc,noescape,nobce roughly a third of dynamic instructions are loads
-func (c *Core) load(in *program.Instr, acc *tdAcc) {
+func (c *Core) load(in *program.Instr, x *xlat, acc *tdAcc) {
 	cfg := &c.Cfg
-	paddr, walkLat := c.MMU.TranslateData(c.now, in.MemAddr)
-	if walkLat > 0 {
-		w := walkLat / 2
+	paddr := x.dataPA
+	if x.dwalk != vm.WalkNone {
+		w := c.MMU.Walker.Latency(c.now, x.dwalk) / 2
 		c.now += w
 		acc[topdown.BackendBound] += w
 	}
@@ -331,10 +311,10 @@ func (c *Core) load(in *program.Instr, acc *tdAcc) {
 // store retires through the store buffer: it consumes cache/DRAM bandwidth
 // but does not stall the pipeline.
 //lukewarm:hotpath noalloc,noescape,nobce store retirement shares the data path's zero-alloc requirement
-func (c *Core) store(in *program.Instr, acc *tdAcc) {
-	paddr, walkLat := c.MMU.TranslateData(c.now, in.MemAddr)
-	if walkLat > 0 {
-		w := walkLat / 2
+func (c *Core) store(in *program.Instr, x *xlat, acc *tdAcc) {
+	paddr := x.dataPA
+	if x.dwalk != vm.WalkNone {
+		w := c.MMU.Walker.Latency(c.now, x.dwalk) / 2
 		c.now += w
 		acc[topdown.BackendBound] += w
 	}

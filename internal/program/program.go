@@ -42,23 +42,25 @@ const (
 	OpBranch
 )
 
-// Instr is one dynamic instruction delivered to the core model.
+// Instr is one dynamic instruction delivered to the core model. The three
+// addresses come first and the one-byte fields after them, so the struct
+// packs into 32 bytes: the core's batch buffers hold thousands of these.
 type Instr struct {
 	// VAddr is the instruction's virtual address.
 	VAddr uint64
-	// Op classifies the instruction.
-	Op Op
 	// MemAddr is the virtual effective address for OpLoad/OpStore.
 	MemAddr uint64
+	// Target is the actual next PC of a taken OpBranch.
+	Target uint64
+	// Op classifies the instruction.
+	Op Op
 	// DepLoad marks a load that depends on an earlier in-flight load
 	// (pointer chasing); it cannot overlap with its producer.
 	DepLoad bool
-	// Branch fields, valid for OpBranch:
-	// Taken reports the actual outcome; Target the actual next PC when
-	// taken; Cond distinguishes conditional branches from jumps/calls;
-	// Indirect marks data-dependent targets (interpreter dispatch).
+	// Branch fields, valid for OpBranch: Taken reports the actual outcome;
+	// Cond distinguishes conditional branches from jumps/calls; Indirect
+	// marks data-dependent targets (interpreter dispatch).
 	Taken    bool
-	Target   uint64
 	Cond     bool
 	Indirect bool
 }

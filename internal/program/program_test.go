@@ -2,9 +2,19 @@ package program
 
 import (
 	"testing"
+	"unsafe"
 
 	"lukewarm/internal/stats"
 )
+
+// TestInstrSize pins Instr's layout at 32 bytes: the core's batch buffers
+// hold thousands of instructions each, and a field added in the wrong place
+// pads the struct back to 48.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 32", got)
+	}
+}
 
 // testConfig returns a mid-size function resembling a Go workload.
 func testConfig() Config {

@@ -8,8 +8,8 @@ import (
 
 // TestInvokeWarmAllocs pins the server's warm invocation path at zero
 // steady-state allocations: the pooled per-instance walker, the per-core
-// prefetcher scratch, and the core's batch buffer must absorb everything
-// after the first few invocations.
+// prefetcher scratch, and the core's pooled pipeline batches must absorb
+// everything after the first few invocations.
 func TestInvokeWarmAllocs(t *testing.T) {
 	s := New(Config{})
 	deploySubset(t, s, "Auth-G")

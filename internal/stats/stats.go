@@ -125,28 +125,56 @@ func Median(vs []float64) float64 {
 }
 
 // Percentile reports the p-th percentile (0..100) of vs using linear
-// interpolation, or 0 for an empty slice.
+// interpolation, or 0 for an empty slice. It sorts a copy of vs; a caller
+// asking repeatedly keeps its values sorted and uses PercentileSorted.
 func Percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
 	c := make([]float64, len(vs))
 	copy(c, vs)
 	sort.Float64s(c)
+	return PercentileSorted(c, p)
+}
+
+// PercentileSorted is Percentile for values already in ascending order
+// (as sort.Float64s or MergeSorted leave them).
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
-		return c[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return c[len(c)-1]
+		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(c)-1)
+	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return c[lo]
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// MergeSorted sorts vs in place and merges it into the ascending slice
+// sorted, returning the extended slice. A caller that asks for percentiles
+// of a growing set merges the values that arrived since it last asked:
+// that moves each old value at most once per merge instead of re-sorting
+// the whole history.
+func MergeSorted(sorted, vs []float64) []float64 {
+	sort.Float64s(vs)
+	i := len(sorted) - 1
+	sorted = append(sorted, vs...)
+	for j, k := len(vs)-1, len(sorted)-1; j >= 0; k-- {
+		if i >= 0 && sorted[i] > vs[j] {
+			sorted[k] = sorted[i]
+			i--
+		} else {
+			sorted[k] = vs[j]
+			j--
+		}
+	}
+	return sorted
 }
 
 // Jaccard reports the Jaccard index |a∩b| / |a∪b| of two sets of cache-block

@@ -139,6 +139,38 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestMergeSortedPercentileProperty holds a slice grown by MergeSorted, in
+// chunks of any size, to the same percentiles, bit for bit, as Percentile
+// over the values in arrival order: the cluster's hedge-delay refresh
+// relies on it.
+func TestMergeSortedPercentileProperty(t *testing.T) {
+	f := func(raw []float64, chunk uint8, p float64) bool {
+		var arrival, sorted, pending []float64
+		same := func() bool {
+			sorted = MergeSorted(sorted, pending)
+			pending = pending[:0]
+			for _, q := range []float64{0, 50, 99, 100, math.Mod(math.Abs(p), 100)} {
+				//lukewarm:floateq the two paths must agree exactly, not within a tolerance
+				if PercentileSorted(sorted, q) != Percentile(arrival, q) {
+					return false
+				}
+			}
+			return true
+		}
+		for i, v := range raw {
+			arrival = append(arrival, v)
+			pending = append(pending, v)
+			if i%(int(chunk%40)+1) == 0 && !same() {
+				return false
+			}
+		}
+		return same()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func setOf(vs ...uint64) map[uint64]struct{} {
 	m := make(map[uint64]struct{}, len(vs))
 	for _, v := range vs {

@@ -62,18 +62,54 @@ func NewWalker(cfg WalkerConfig, dram *mem.DRAM) *Walker {
 	return w
 }
 
+// WalkKind classifies the page walk a translation needed.
+type WalkKind uint8
+
+const (
+	// WalkNone: the TLB hit, no walk.
+	WalkNone WalkKind = iota
+	// WalkWarm: the leaf PTE line was in the walker cache.
+	WalkWarm
+	// WalkCold: the leaf PTE line had to be read from memory.
+	WalkCold
+)
+
 // Walk performs one page walk for vpage at time now and returns its latency.
+// It is Lookup followed by Latency; the core's pipeline calls the two halves
+// at different times (see Lookup).
 func (w *Walker) Walk(now mem.Cycle, vpage uint64) mem.Cycle {
+	return w.Latency(now, w.Lookup(vpage))
+}
+
+// Lookup is the time-independent half of a walk: it probes and fills the
+// walker's PTE-line cache, counts the walk, and reports whether it is warm or
+// cold. Nothing in it depends on the clock, so the core runs it ahead of
+// execution and charges the walk later with Latency.
+//lukewarm:hotpath noalloc,noescape one walker-cache probe per TLB miss, run ahead of execution
+func (w *Walker) Lookup(vpage uint64) WalkKind {
 	w.Walks++
 	pteLine := vpage >> 3
 	for _, id := range w.cache {
 		if id == pteLine {
-			return w.cfg.BaseLatency
+			return WalkWarm
 		}
 	}
 	w.ColdWalks++
 	w.cache[w.pos] = pteLine
 	w.pos = (w.pos + 1) % len(w.cache)
+	return WalkCold
+}
+
+// Latency is the time-dependent half of a walk of kind k at time now: the
+// base latency, plus the leaf PTE read from DRAM for a cold walk. A TLB hit
+// (WalkNone) costs nothing.
+func (w *Walker) Latency(now mem.Cycle, k WalkKind) mem.Cycle {
+	switch k {
+	case WalkNone:
+		return 0
+	case WalkWarm:
+		return w.cfg.BaseLatency
+	}
 	return w.cfg.BaseLatency + w.dram.Access(now, mem.TrafficDemand)
 }
 
@@ -149,15 +185,37 @@ func (m *MMU) TranslateData(now mem.Cycle, vaddr uint64) (paddr uint64, lat mem.
 }
 
 func (m *MMU) translate(now mem.Cycle, vaddr uint64, tlb *TLB) (uint64, mem.Cycle) {
+	paddr, k := m.resolve(vaddr, tlb)
+	return paddr, m.Walker.Latency(now, k)
+}
+
+// ResolveInstr is the time-independent half of TranslateInstr: the ITLB
+// lookup, the walker-cache lookup on a miss, and demand frame allocation. It
+// returns the physical address and the kind of walk, which the caller charges
+// later with Walker.Latency. TranslateInstr(now, v) is exactly
+// ResolveInstr(v) followed by Walker.Latency(now, kind).
+func (m *MMU) ResolveInstr(vaddr uint64) (paddr uint64, k WalkKind) {
+	return m.resolve(vaddr, m.ITLB)
+}
+
+// ResolveData is ResolveInstr for the data side (DTLB).
+func (m *MMU) ResolveData(vaddr uint64) (paddr uint64, k WalkKind) {
+	return m.resolve(vaddr, m.DTLB)
+}
+
+// resolve touches only the TLB, the walker cache and the address space —
+// never the clock or DRAM — so it may run ahead of execution on another
+// goroutine while nothing else touches those three structures.
+func (m *MMU) resolve(vaddr uint64, tlb *TLB) (uint64, WalkKind) {
 	if m.as == nil {
 		panic("vm: MMU has no active address space")
 	}
 	vp := PageOf(vaddr)
-	var lat mem.Cycle
+	k := WalkNone
 	if !tlb.Access(vp) {
-		lat = m.Walker.Walk(now, vp)
+		k = m.Walker.Lookup(vp)
 	}
-	return m.as.Translate(vaddr), lat
+	return m.as.Translate(vaddr), k
 }
 
 // Flush invalidates both TLBs and the walker cache.

@@ -77,6 +77,63 @@ func TestMMUTranslateChargesWalkOnlyOnMiss(t *testing.T) {
 	}
 }
 
+// TestResolveThenLatencyIsTranslate holds the split translation exact: a
+// stream resolved up front and charged later gives every access the same
+// physical address and latency, and leaves the same TLB, walker and DRAM
+// state, as translating each access in turn.
+func TestResolveThenLatencyIsTranslate(t *testing.T) {
+	whole, wholeDRAM := newTestMMU()
+	split, splitDRAM := newTestMMU()
+	type access struct {
+		vaddr uint64
+		instr bool
+	}
+	var stream []access
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 4000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// A few hundred pages over two regions, so the TLBs and the walker
+		// cache both hit and miss.
+		stream = append(stream, access{vaddr: 0x40_0000 + x%(300*PageSize) + (x>>40)%2*0x1000_0000, instr: x>>63 == 1})
+	}
+	paddrs := make([]uint64, len(stream))
+	kinds := make([]WalkKind, len(stream))
+	var seen [WalkCold + 1]int
+	for i, a := range stream {
+		if a.instr {
+			paddrs[i], kinds[i] = split.ResolveInstr(a.vaddr)
+		} else {
+			paddrs[i], kinds[i] = split.ResolveData(a.vaddr)
+		}
+		seen[kinds[i]]++
+	}
+	if seen[WalkNone] == 0 || seen[WalkWarm] == 0 || seen[WalkCold] == 0 {
+		t.Fatalf("stream does not cover every walk kind: %v", seen)
+	}
+	now := mem.Cycle(0)
+	for i, a := range stream {
+		var want uint64
+		var wantLat mem.Cycle
+		if a.instr {
+			want, wantLat = whole.TranslateInstr(now, a.vaddr)
+		} else {
+			want, wantLat = whole.TranslateData(now, a.vaddr)
+		}
+		lat := split.Walker.Latency(now, kinds[i])
+		if paddrs[i] != want || lat != wantLat {
+			t.Fatalf("access %d: split gave (%#x, %d), Translate gave (%#x, %d)", i, paddrs[i], lat, want, wantLat)
+		}
+		now += 3 + wantLat
+	}
+	if whole.ITLB.Stats != split.ITLB.Stats || whole.DTLB.Stats != split.DTLB.Stats ||
+		whole.Walker.Walks != split.Walker.Walks || whole.Walker.ColdWalks != split.Walker.ColdWalks ||
+		*wholeDRAM != *splitDRAM {
+		t.Fatal("split translation left different TLB, walker or DRAM state")
+	}
+}
+
 func TestMMUInstrAndDataSidesAreSeparate(t *testing.T) {
 	m, _ := newTestMMU()
 	m.TranslateInstr(0, 0x1000)
