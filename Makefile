@@ -18,8 +18,10 @@ lint:
 
 # bench captures the performance trajectory: the fleet-simulation benchmarks,
 # the raw simulator-throughput benchmark, the REAP restore path, the arrival
-# forecasters and the pre-warm sweep kernel, one iteration each, serialized
-# to BENCH_$(PR).json via cmd/benchjson. Refresh
+# forecasters, the pre-warm sweep kernel and the representative cache-path
+# benchmarks (ns/access over a mixed data stream and a ~600 KB fetch
+# footprint, one 64 Ki-access pass per iteration), one iteration each,
+# serialized to BENCH_$(PR).json via cmd/benchjson. Refresh
 # the committed snapshot when simulator performance changes materially.
 #
 # PR defaults to one past the highest committed BENCH_<n>.json so each PR's
@@ -27,7 +29,7 @@ lint:
 # with `make bench PR=ci` (or any explicit tag) to write elsewhere.
 PR ?= $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9]*\)\.json$$/\1/p' | sort -n | tail -1 | awk '{print $$1 + 1}')
 bench:
-	$(GO) test -run '^$$' -bench 'Fleet|ExtensionCluster|SimulationThroughput|ReapRestore|Forecast|PrewarmSweep' -benchtime 1x ./internal/cluster ./internal/reap ./internal/predict ./internal/serverless . \
+	$(GO) test -run '^$$' -bench 'Fleet|ExtensionCluster|SimulationThroughput|ReapRestore|Forecast|PrewarmSweep|HierarchyDataMixed|HierarchyFetchFootprint' -benchtime 1x ./internal/cluster ./internal/reap ./internal/predict ./internal/serverless ./internal/mem . \
 		| $(GO) run ./cmd/benchjson > BENCH_$(PR).json
 	@echo "wrote BENCH_$(PR).json"
 

@@ -26,6 +26,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // entry mirrors cmd/benchjson's output element.
@@ -48,13 +49,14 @@ const (
 	gatedMetric = "Minstr/s"
 )
 
-// lowerIsBetter reports whether a metric improves downward.
+// lowerIsBetter reports whether a metric improves downward: times (ns/op
+// and per-operation units such as ns/access) and allocation counts.
 func lowerIsBetter(metric string) bool {
 	switch metric {
-	case "ns/op", "B/op", "allocs/op":
+	case "B/op", "allocs/op":
 		return true
 	}
-	return false
+	return strings.HasPrefix(metric, "ns/")
 }
 
 func load(path string) (map[key]float64, error) {
@@ -68,12 +70,18 @@ func load(path string) (map[key]float64, error) {
 	}
 	m := map[key]float64{}
 	for _, e := range entries {
+		bench := procsSuffix.ReplaceAllString(e.Name, "")
 		for name, v := range e.Metrics {
-			m[key{e.Name, name}] = v
+			m[key{bench, name}] = v
 		}
 	}
 	return m, nil
 }
+
+// procsSuffix matches the -<GOMAXPROCS> suffix go test appends to a
+// benchmark's name when GOMAXPROCS is above one; load drops it so
+// snapshots taken on hosts with different CPU counts still line up.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
 
 var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 

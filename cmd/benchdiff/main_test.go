@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -79,6 +80,42 @@ func TestCompareMissingGatedBench(t *testing.T) {
 	_, failures := compare(oldM, newM, 10, false)
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Fatalf("want exactly the missing-metric failure, got %v", failures)
+	}
+}
+
+// TestCompareToleratesNewBench pins that a bench the previous snapshot
+// lacks is skipped, not failed, even under -strict, and that per-access
+// times count as lower-is-better.
+func TestCompareToleratesNewBench(t *testing.T) {
+	oldM := mustLoad(t, "BENCH_1.json")
+	newM := map[key]float64{{"BenchmarkHierarchyDataMixed", "ns/access"}: 60}
+	for k, v := range oldM {
+		newM[k] = v
+	}
+	rows, failures := compare(oldM, newM, 10, true)
+	if len(failures) != 0 || len(rows) != len(oldM) {
+		t.Fatalf("new bench: %d rows (want %d), failures %v", len(rows), len(oldM), failures)
+	}
+	if !lowerIsBetter("ns/access") || lowerIsBetter("Minstr/s") {
+		t.Fatal("ns/access must be lower-is-better and Minstr/s higher-is-better")
+	}
+}
+
+// TestLoadDropsProcsSuffix pins that a snapshot taken with GOMAXPROCS > 1
+// (names like BenchmarkX-4) lines up with one taken on a single CPU.
+func TestLoadDropsProcsSuffix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_9.json")
+	doc := `[{"name":"BenchmarkSimulationThroughput-4","iterations":1,"metrics":{"Minstr/s":12}},` +
+		`{"name":"BenchmarkForecast/ewma-2","iterations":1,"metrics":{"ns/op":400}}]`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m[key{gatedBench, gatedMetric}] != 12 || m[key{"BenchmarkForecast/ewma", "ns/op"}] != 400 {
+		t.Fatalf("suffixed names not normalized: %v", m)
 	}
 }
 

@@ -87,9 +87,10 @@ type Core struct {
 	BTB  *BTB
 	// Prefetcher receives the hook calls; nil disables prefetching.
 	Prefetcher InstrPrefetcher
-	// dataObs caches the Prefetcher's DataObserver side, re-asserted once
-	// per invocation so the load/store hot path pays no interface probe.
-	dataObs DataObserver
+	// dataObs lists the Prefetcher's data observers, resolved once per
+	// invocation (a MultiPrefetcher is flattened into its members), so a
+	// load or store pays no type assertion; the slice is reused.
+	dataObs []DataObserver
 
 	now mem.Cycle
 
@@ -166,11 +167,30 @@ type runMark struct {
 // InvocationStart, the last point before stage 1 owns the MMU.
 func (c *Core) begin() runMark {
 	m := runMark{start: c.now, mispredicts: c.BP.Stats.Mispredicts, resteers: c.BTB.Stats.Resteers}
-	c.dataObs, _ = c.Prefetcher.(DataObserver)
+	c.dataObs = appendDataObservers(c.dataObs[:0], c.Prefetcher)
 	if c.Prefetcher != nil {
 		c.Prefetcher.InvocationStart(c.now)
 	}
 	return m
+}
+
+// appendDataObservers appends p's data observers to dst in hook order:
+// a MultiPrefetcher contributes its members' observers, flattened, and any
+// other prefetcher itself if it observes data.
+func appendDataObservers(dst []DataObserver, p InstrPrefetcher) []DataObserver {
+	switch p := p.(type) {
+	case MultiPrefetcher:
+		for _, m := range p {
+			dst = appendDataObservers(dst, m)
+		}
+	case *MultiPrefetcher:
+		for _, m := range *p {
+			dst = appendDataObservers(dst, m)
+		}
+	case DataObserver:
+		dst = append(dst, p)
+	}
+	return dst
 }
 
 // end closes an invocation of instrs instructions: it fires InvocationEnd
@@ -280,8 +300,8 @@ func (c *Core) load(in *program.Instr, x *xlat, acc *tdAcc) {
 		acc[topdown.BackendBound] += w
 	}
 	res := c.Hier.AccessData(c.now, paddr, false)
-	if c.dataObs != nil {
-		c.dataObs.OnDataAccess(c.now, in.MemAddr, paddr, false)
+	for _, o := range c.dataObs {
+		o.OnDataAccess(c.now, in.MemAddr, paddr, false)
 	}
 	miss := res.Latency - cfg.Hier.L1D.HitLatency
 	if miss <= 0 {
@@ -319,8 +339,8 @@ func (c *Core) store(in *program.Instr, x *xlat, acc *tdAcc) {
 		acc[topdown.BackendBound] += w
 	}
 	c.Hier.AccessData(c.now, paddr, true)
-	if c.dataObs != nil {
-		c.dataObs.OnDataAccess(c.now, in.MemAddr, paddr, true)
+	for _, o := range c.dataObs {
+		o.OnDataAccess(c.now, in.MemAddr, paddr, true)
 	}
 }
 

@@ -240,3 +240,41 @@ func TestPrefetcherHooks(t *testing.T) {
 		t.Errorf("fetches %d != block retires %d", rp.fetches, rp.retires)
 	}
 }
+
+// dataLogger is a prefetcher that also observes data, appending its id to
+// a shared log on every data access.
+type dataLogger struct {
+	recordingPrefetcher
+	id  byte
+	log *[]byte
+}
+
+func (d *dataLogger) OnDataAccess(mem.Cycle, uint64, uint64, bool) { *d.log = append(*d.log, d.id) }
+
+// TestDataObserversResolvedPerInvocation pins the observer list begin
+// resolves: nested compositions (by value and by pointer) flatten in hook
+// order, members that do not observe data are skipped, and each observer
+// sees every load and store of the run exactly once.
+func TestDataObserversResolvedPerInvocation(t *testing.T) {
+	var log []byte
+	a, b, c := &dataLogger{id: 'a', log: &log}, &dataLogger{id: 'b', log: &log}, &dataLogger{id: 'c', log: &log}
+	inner := MultiPrefetcher{c}
+	core := newTestCore()
+	core.Prefetcher = &MultiPrefetcher{a, MultiPrefetcher{&recordingPrefetcher{}, b}, &inner}
+	if got := appendDataObservers(nil, core.Prefetcher); len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
+		t.Fatalf("resolved observers %v, want [a b c]", got)
+	}
+	core.RunInvocation(testProgram().NewInvocation(0))
+	if len(log) == 0 || len(log)%3 != 0 {
+		t.Fatalf("logged %d data observations, want a positive multiple of 3", len(log))
+	}
+	for i := 0; i < len(log); i += 3 {
+		if string(log[i:i+3]) != "abc" {
+			t.Fatalf("observation %d: order %q, want \"abc\"", i/3, log[i:i+3])
+		}
+	}
+	core.Prefetcher = a
+	if got := appendDataObservers(core.dataObs[:0], core.Prefetcher); len(got) != 1 || got[0] != a {
+		t.Fatalf("single observer resolved as %v", got)
+	}
+}

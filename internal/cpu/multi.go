@@ -37,8 +37,9 @@ func (m MultiPrefetcher) OnBlockRetire(now mem.Cycle, vBlock, pBlock uint64) {
 }
 
 // OnDataAccess implements DataObserver, forwarding to the members that
-// observe the data side. The composite always satisfies DataObserver, so
-// Core caches one assertion and the per-member probes happen here.
+// observe the data side. Core does not call it: it resolves the members'
+// observers once per invocation (appendDataObservers) and calls them
+// directly.
 func (m MultiPrefetcher) OnDataAccess(now mem.Cycle, vaddr, paddr uint64, store bool) {
 	for _, p := range m {
 		if o, ok := p.(DataObserver); ok {

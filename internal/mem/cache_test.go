@@ -9,6 +9,35 @@ func testCache(sizeKB, ways int) *Cache {
 	return NewCache(Config{Name: "t", SizeBytes: sizeKB << 10, Ways: ways, HitLatency: 4})
 }
 
+// The demand-lookup and dirty-bit helpers below drive a single cache the
+// way the hierarchy's paths do, for the tests.
+
+// accessOutcome describes a demand lookup.
+type accessOutcome struct {
+	hit         bool
+	prefetchHit bool  // hit on a prefetched, not-yet-used line
+	extraWait   Cycle // residual wait for an in-flight prefetch
+}
+
+// access performs a demand lookup for addr at time now, updating LRU and
+// demand counters; it does not fill on a miss.
+func (c *Cache) access(now Cycle, addr uint64, k Kind, write bool) accessOutcome {
+	s, i := c.lookup(addr)
+	if i < 0 {
+		c.miss(k)
+		return accessOutcome{}
+	}
+	wait, pf := c.hit(now, s, i, k, write)
+	return accessOutcome{hit: true, prefetchHit: pf, extraWait: wait}
+}
+
+// markDirty sets the dirty bit on addr's line if present.
+func (c *Cache) markDirty(addr uint64) {
+	if _, i := c.lookup(addr); i >= 0 {
+		c.lines[i] |= lineDirty
+	}
+}
+
 func TestCacheGeometry(t *testing.T) {
 	c := testCache(32, 8)
 	if got := c.Config().Sets(); got != 64 {

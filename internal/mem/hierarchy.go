@@ -1,6 +1,5 @@
 package mem
 
-
 // HierarchyConfig assembles the per-level cache configurations of one
 // simulated platform. Table 1 of the paper defines the Skylake-like setup;
 // Sec. 5.6 the Broadwell-like one.
@@ -132,38 +131,58 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // FetchInstr performs a demand instruction fetch of the block containing
 // paddr at time now.
+//lukewarm:hotpath noalloc,noescape every simulated fetch block enters the hierarchy here
 func (h *Hierarchy) FetchInstr(now Cycle, paddr uint64) Result {
 	if h.PerfectL1I {
 		return Result{Latency: h.l1iLat, Level: LevelL1}
 	}
-	return h.demand(now, paddr, Instr, false)
+	l1 := h.L1I
+	s, i := l1.lookup(paddr)
+	if i < 0 {
+		return h.missL1(now, paddr, Instr, false, l1, s, h.l1iLat)
+	}
+	wait, _ := l1.hit(now, s, i, Instr, false)
+	return Result{Latency: h.l1iLat + min(wait, h.maxWait), Level: LevelL1}
 }
 
 // AccessData performs a demand data access at time now. write marks stores.
+//lukewarm:hotpath noalloc,noescape every simulated load and store enters the hierarchy here; the L1 hit and the same-block prefetch check stay inline
 func (h *Hierarchy) AccessData(now Cycle, paddr uint64, write bool) Result {
-	res := h.demand(now, paddr, Data, write)
-	if h.cfg.L1DNextLine {
-		h.nextLinePrefetch(now, paddr)
+	l1 := h.L1D
+	s, i := l1.lookup(paddr)
+	var res Result
+	if i < 0 {
+		res = h.missL1(now, paddr, Data, write, l1, s, h.l1dLat)
+	} else {
+		// The L1 hit path: hit's steps, with touch and use inlined, so only
+		// a prefetched line's first use costs a call.
+		if w := i - s*l1.ways; l1.packed {
+			l1.touch(s, w)
+		} else {
+			l1.stamp(s, w)
+		}
+		var wait Cycle
+		if f := l1.use(i, Data, write); unusedPrefetch(f) != 0 {
+			wait = l1.firstUse(now, i, f)
+		}
+		res = Result{Latency: h.l1dLat + min(wait, h.maxWait), Level: LevelL1}
+	}
+	if blk := BlockAddr(paddr); h.cfg.L1DNextLine && blk != h.lastDataBlock {
+		h.nextLinePrefetch(now, blk)
 	}
 	return res
 }
 
-// demand walks the hierarchy for one access.
-func (h *Hierarchy) demand(now Cycle, paddr uint64, k Kind, write bool) Result {
-	// A demand hit on a still-in-flight prefetch waits for the data, but
-	// never longer than the rest of the miss path it replaced (the demand
-	// would otherwise have fetched the line itself): the cap shrinks by the
-	// hit latencies already paid at each level.
+// missL1 serves a demand access that missed l1, whose lookup returned set
+// s1, from the outer levels: lat is the L1 hit latency already paid. A
+// demand hit on a still-in-flight prefetch waits for the data, but never
+// longer than the rest of the miss path it replaced (the demand would
+// otherwise have fetched the line itself): the cap shrinks by the hit
+// latencies already paid at each level.
+//lukewarm:hotpath noalloc,noescape every L1 miss walks the outer levels here, one tag scan per level
+func (h *Hierarchy) missL1(now Cycle, paddr uint64, k Kind, write bool, l1 *Cache, s1 int, lat Cycle) Result {
+	l1.miss(k)
 	maxWait := h.maxWait
-	l1 := h.L1I
-	lat := h.l1iLat
-	if k == Data {
-		l1 = h.L1D
-		lat = h.l1dLat
-	}
-	if out := l1.access(now, paddr, k, write); out.hit {
-		return Result{Latency: lat + min(out.extraWait, maxWait), Level: LevelL1}
-	}
 
 	// L1-I misses probe the prefetch buffer in parallel with the L2; the
 	// buffer serves the demand only when it is the faster source (an
@@ -173,114 +192,121 @@ func (h *Hierarchy) demand(now Cycle, paddr uint64, k Kind, write bool) Result {
 			l2Wait, l2Present := h.L2.probeWait(now, paddr)
 			if !l2Present || wait <= l2Wait+h.l2Lat {
 				h.PFBuf.Hits++
-				l1.fill(now, paddr, k, false, 0)
+				l1.install(s1, paddr, demandFlags(k), 0)
 				return Result{Latency: lat + 2 + min(wait, maxWait), Level: LevelL1}
 			}
 		}
 	}
 
-	// L1 miss: look up the unified L2.
-	if out := h.L2.access(now+lat, paddr, k, false); out.hit {
-		cap := maxWait - h.l2Lat
-		total := lat + h.l2Lat + min(out.extraWait, cap)
-		l1.fill(now, paddr, k, false, 0)
-		return Result{Latency: total, Level: LevelL2, L2PrefetchHit: out.prefetchHit}
+	// L1 miss: look up the unified L2. The refill into the L1 discards its
+	// victim and does not mark a store's line dirty (DESIGN.md §4).
+	s2, i2 := h.L2.lookup(paddr)
+	if i2 >= 0 {
+		wait, pf := h.L2.hit(now+lat, s2, i2, k, false)
+		total := lat + h.l2Lat + min(wait, maxWait-h.l2Lat)
+		l1.install(s1, paddr, demandFlags(k), 0)
+		return Result{Latency: total, Level: LevelL2, L2PrefetchHit: pf}
 	}
+	h.L2.miss(k)
 	lat += h.l2Lat
 
 	// L2 miss: look up the shared LLC.
-	if out := h.LLC.access(now+lat, paddr, k, false); out.hit {
-		cap := maxWait - h.l2Lat - h.llcLat
-		total := lat + h.llcLat + min(out.extraWait, cap)
-		h.fillOnPath(now, paddr, k, write)
+	s3, i3 := h.LLC.lookup(paddr)
+	if i3 >= 0 {
+		wait, _ := h.LLC.hit(now+lat, s3, i3, k, false)
+		total := lat + h.llcLat + min(wait, maxWait-h.l2Lat-h.llcLat)
+		h.fillOnPath(now, paddr, k, write, l1, s1, s2)
 		return Result{Latency: total, Level: LevelLLC, L2Miss: true}
 	}
+	h.LLC.miss(k)
 	lat += h.llcLat
 
 	// LLC miss: go to memory.
 	lat += h.DRAM.Access(now+lat, TrafficDemand)
-	if v := h.LLC.fill(now, paddr, k, false, 0); v.valid && v.dirty {
+	if v := h.LLC.install(s3, paddr, demandFlags(k), 0); v.valid && v.dirty {
 		h.DRAM.Access(now, TrafficWriteback)
 	}
-	h.fillOnPath(now, paddr, k, write)
+	h.fillOnPath(now, paddr, k, write, l1, s1, s2)
 	return Result{Latency: lat, Level: LevelMem, L2Miss: true}
 }
 
-// fillOnPath installs the block into L2 and the appropriate L1, accounting
-// for dirty writebacks reaching memory from LLC evictions.
-func (h *Hierarchy) fillOnPath(now Cycle, paddr uint64, k Kind, write bool) {
-	if v := h.L2.fill(now, paddr, k, false, 0); v.valid && v.dirty {
+// fillOnPath installs the block into the L2 and the L1 at the sets their
+// lookups returned, accounting for dirty writebacks reaching memory from
+// LLC evictions.
+//lukewarm:hotpath noalloc,noescape every L2 miss refills the path here; victims must stay on the stack
+func (h *Hierarchy) fillOnPath(now Cycle, paddr uint64, k Kind, write bool, l1 *Cache, s1, s2 int) {
+	if v := h.L2.install(s2, paddr, demandFlags(k), 0); v.valid && v.dirty {
 		// Dirty L2 victims merge into the LLC; if absent there, install and
 		// carry the dirty bit so the data eventually writes back to memory.
-		if h.LLC.Probe(v.addr) {
-			h.LLC.markDirty(v.addr)
-		} else {
-			if lv := h.LLC.fill(now, v.addr, v.kind, false, 0); lv.valid && lv.dirty {
-				h.DRAM.Access(now, TrafficWriteback)
-			}
-			h.LLC.markDirty(v.addr)
+		if lv := h.LLC.mergeDirty(v.addr, v.kind); lv.valid && lv.dirty {
+			h.DRAM.Access(now, TrafficWriteback)
 		}
 	}
-	l1 := h.L1I
-	if k == Data {
-		l1 = h.L1D
-	}
-	v := l1.fill(now, paddr, k, false, 0)
+	nf := demandFlags(k)
 	if write {
-		l1.markDirty(paddr)
+		nf |= lineDirty
 	}
-	if v.valid && v.dirty {
-		if !h.L2.Probe(v.addr) {
-			h.L2.fill(now, v.addr, v.kind, false, 0)
-		}
-		h.L2.markDirty(v.addr)
+	// A dirty L1 victim merges into the L2; the L2 line that merge
+	// displaces is discarded.
+	if v := l1.install(s1, paddr, nf, 0); v.valid && v.dirty {
+		h.L2.mergeDirty(v.addr, v.kind)
 	}
 }
 
 // nextLinePrefetch implements the simple L1-D next-line prefetcher from
-// Table 1: on a demand access to a new block, pull in the sequentially next
-// block if it is not already in the L1-D.
-func (h *Hierarchy) nextLinePrefetch(now Cycle, paddr uint64) {
-	blk := BlockAddr(paddr)
-	if blk == h.lastDataBlock {
-		return
-	}
+// Table 1: on a demand access to a new block blk, pull in the sequentially
+// next block if it is not already in the L1-D.
+//lukewarm:hotpath noalloc,noescape runs on every data access that changes block
+func (h *Hierarchy) nextLinePrefetch(now Cycle, blk uint64) {
 	h.lastDataBlock = blk
 	next := blk + LineSize
-	if h.L1D.Probe(next) {
+	s1, i1 := h.L1D.lookup(next)
+	if i1 >= 0 {
 		return
 	}
-	ready := now + h.l1dLat
-	switch {
-	case h.L2.Probe(next):
-		ready += h.l2Lat
-	case h.LLC.Probe(next):
-		ready += h.l2Lat + h.llcLat
-		h.L2.fill(now, next, Data, true, ready)
-	default:
-		ready += h.l2Lat + h.llcLat + h.DRAM.Access(now, TrafficPrefetch)
-		h.LLC.fill(now, next, Data, true, ready)
-		h.L2.fill(now, next, Data, true, ready)
+	ready := h.prefetchOuter(now, now+h.l1dLat, next, Data, TrafficPrefetch)
+	h.L1D.install(s1, next, prefetchFlags(Data), ready)
+}
+
+// prefetchOuter brings the block at paddr to the L2 for a prefetch into a
+// level above it, installing it as a prefetched line of kind k in the L2
+// (and the LLC) where missing, and returns the cycle its data arrives
+// above the L2: ready plus the latency of the level that has it. The DRAM
+// traffic is labelled cls; displaced lines are discarded.
+//lukewarm:hotpath noalloc,noescape the shared outer half of the next-line, PIF and buffer prefetch paths
+func (h *Hierarchy) prefetchOuter(now, ready Cycle, paddr uint64, k Kind, cls TrafficClass) Cycle {
+	s2, i2 := h.L2.lookup(paddr)
+	if i2 >= 0 {
+		return ready + h.l2Lat
 	}
-	h.L1D.fill(now, next, Data, true, ready)
+	s3, i3 := h.LLC.lookup(paddr)
+	if i3 >= 0 {
+		ready += h.l2Lat + h.llcLat
+	} else {
+		ready += h.l2Lat + h.llcLat + h.DRAM.Access(now, cls)
+		h.LLC.install(s3, paddr, prefetchFlags(k), ready)
+	}
+	h.L2.install(s2, paddr, prefetchFlags(k), ready)
+	return ready
 }
 
 // PrefetchIntoL2 installs the block containing paddr into the L2 (and LLC on
 // the way) on behalf of an instruction prefetcher, returning the cycle at
 // which the data is available in the L2. cls labels the DRAM traffic.
 // If the block is already L2-resident the call is a no-op returning now.
+//lukewarm:hotpath noalloc,noescape Jukebox replay issues one call per recorded block
 func (h *Hierarchy) PrefetchIntoL2(now Cycle, paddr uint64, cls TrafficClass) Cycle {
-	if h.L2.Probe(paddr) {
+	s2, i2 := h.L2.lookup(paddr)
+	if i2 >= 0 {
 		return now
 	}
-	ready := now
-	if h.LLC.Probe(paddr) {
-		ready += h.cfg.LLC.HitLatency
-	} else {
-		ready += h.cfg.LLC.HitLatency + h.DRAM.Access(now, cls)
-		h.LLC.fill(now, paddr, Instr, true, ready)
+	ready := now + h.llcLat
+	s3, i3 := h.LLC.lookup(paddr)
+	if i3 < 0 {
+		ready += h.DRAM.Access(now, cls)
+		h.LLC.install(s3, paddr, prefetchFlags(Instr), ready)
 	}
-	h.L2.fill(now, paddr, Instr, true, ready)
+	h.L2.install(s2, paddr, prefetchFlags(Instr), ready)
 	return ready
 }
 
@@ -330,18 +356,7 @@ func (h *Hierarchy) PrefetchIntoBuffer(now Cycle, paddr uint64, cls TrafficClass
 			return h.pfBuf[i].ready
 		}
 	}
-	ready := now
-	switch {
-	case h.L2.Probe(blk):
-		ready += h.cfg.L2.HitLatency
-	case h.LLC.Probe(blk):
-		ready += h.cfg.L2.HitLatency + h.cfg.LLC.HitLatency
-		h.L2.fill(now, blk, Instr, true, ready)
-	default:
-		ready += h.cfg.L2.HitLatency + h.cfg.LLC.HitLatency + h.DRAM.Access(now, cls)
-		h.LLC.fill(now, blk, Instr, true, ready)
-		h.L2.fill(now, blk, Instr, true, ready)
-	}
+	ready := h.prefetchOuter(now, now, blk, Instr, cls)
 	v := &h.pfBuf[h.pfBufPos]
 	if v.valid {
 		h.PFBuf.EvictionUnused++
@@ -376,11 +391,12 @@ func (h *Hierarchy) PrefetchIntoLLC(now Cycle, paddr uint64, cls TrafficClass) C
 // now unchanged when the line is already LLC-resident — the probe is what
 // makes restore a delta on lukewarm starts.
 func (h *Hierarchy) PrefetchLineIntoLLC(now Cycle, paddr uint64, k Kind, cls TrafficClass) Cycle {
-	if h.LLC.Probe(paddr) {
+	s, i := h.LLC.lookup(paddr)
+	if i >= 0 {
 		return now
 	}
 	ready := now + h.DRAM.Access(now, cls)
-	h.LLC.fill(now, paddr, k, true, ready)
+	h.LLC.install(s, paddr, prefetchFlags(k), ready)
 	return ready
 }
 
@@ -400,22 +416,12 @@ func (h *Hierarchy) PrefetchLineIntoLLCBlind(now Cycle, paddr uint64, k Kind, cl
 // PrefetchIntoL1I installs the block containing paddr into the L1-I (used by
 // the PIF comparator, which targets the L1-I). Returns the ready cycle.
 func (h *Hierarchy) PrefetchIntoL1I(now Cycle, paddr uint64, cls TrafficClass) Cycle {
-	if h.L1I.Probe(paddr) {
+	s1, i1 := h.L1I.lookup(paddr)
+	if i1 >= 0 {
 		return now
 	}
-	ready := now
-	switch {
-	case h.L2.Probe(paddr):
-		ready += h.cfg.L2.HitLatency
-	case h.LLC.Probe(paddr):
-		ready += h.cfg.L2.HitLatency + h.cfg.LLC.HitLatency
-		h.L2.fill(now, paddr, Instr, true, ready)
-	default:
-		ready += h.cfg.L2.HitLatency + h.cfg.LLC.HitLatency + h.DRAM.Access(now, cls)
-		h.LLC.fill(now, paddr, Instr, true, ready)
-		h.L2.fill(now, paddr, Instr, true, ready)
-	}
-	h.L1I.fill(now, paddr, Instr, true, ready)
+	ready := h.prefetchOuter(now, now, paddr, Instr, cls)
+	h.L1I.install(s1, paddr, prefetchFlags(Instr), ready)
 	return ready
 }
 

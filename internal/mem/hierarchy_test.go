@@ -272,3 +272,27 @@ func TestConfigPresets(t *testing.T) {
 		NewHierarchy(cfg)
 	}
 }
+
+// TestHierarchyPathsAllocs pins the single-scan data path at zero heap
+// allocations per access: demand fetches and data accesses over the
+// representative streams, and every prefetch entry point.
+func TestHierarchyPathsAllocs(t *testing.T) {
+	h := NewHierarchy(SkylakeHierarchy())
+	h.EnablePrefetchBuffer(16)
+	data, code := mixedDataStream(4096), fetchStream(4096)
+	var now Cycle
+	allocs := testing.AllocsPerRun(4, func() {
+		for i, a := range data.addrs {
+			now += h.AccessData(now, a, data.writes[i]).Latency
+			now += h.FetchInstr(now, code.addrs[i]).Latency
+			next := code.addrs[i] + 8*LineSize
+			h.PrefetchIntoL2(now, next, TrafficPrefetch)
+			h.PrefetchIntoBuffer(now, next+LineSize, TrafficPrefetch)
+			h.PrefetchIntoL1I(now, next+2*LineSize, TrafficPrefetch)
+			h.PrefetchLineIntoLLC(now, a+4096, Data, TrafficPrefetch)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("data path allocates %.2f objects per pass, want 0", allocs)
+	}
+}

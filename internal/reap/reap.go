@@ -178,7 +178,7 @@ type Reap struct {
 
 	// Per-invocation recording state: seen dedupes first touches, rec
 	// accumulates them in touch order.
-	seen map[uint64]struct{}
+	seen pageSet
 	rec  []PageEntry
 
 	// Sealed manifest plus derived lookups: sealedSet for divergence
@@ -208,15 +208,16 @@ func New(cfg Config, hier *mem.Hierarchy, mmu *vm.MMU) *Reap {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Reap{
+	r := &Reap{
 		cfg:      cfg,
 		hier:     hier,
 		mmu:      mmu,
 		record:   cfg.Record,
 		restore:  cfg.Restore,
-		seen:     make(map[uint64]struct{}),
 		restored: make(map[uint64]mem.Cycle),
 	}
+	r.seen.init(minPageSlots)
+	return r
 }
 
 // Bind re-points the recorder at another core's hierarchy and MMU — the
@@ -247,7 +248,7 @@ func (r *Reap) ManifestView() *Manifest { return &r.sealed }
 // LLC as prefetch traffic, all through the shared DRAM model so restore
 // bandwidth contends with demand.
 func (r *Reap) InvocationStart(now mem.Cycle) {
-	clear(r.seen)
+	r.seen.reset()
 	r.rec = r.rec[:0]
 	if r.prewarmed {
 		// A pre-warm (BeginPrewarm) already streamed the manifest while the
@@ -385,10 +386,9 @@ func (r *Reap) OnDataAccess(now mem.Cycle, vaddr, _ uint64, _ bool) {
 // first touch of a restored page settles its used/late accounting.
 func (r *Reap) note(now mem.Cycle, vaddr uint64, k mem.Kind) {
 	vp := vm.PageOf(vaddr)
-	if _, ok := r.seen[vp]; ok {
+	if !r.seen.add(vp) {
 		return
 	}
-	r.seen[vp] = struct{}{}
 
 	if len(r.rec) < r.cfg.MaxPages {
 		r.rec = append(r.rec, PageEntry{VPage: vp, Kind: k, FirstTouch: uint32(len(r.rec))})
@@ -511,7 +511,7 @@ func (r *Reap) RestoreFootprintBytes() uint64 {
 // invocations. The sealed manifest survives; it lives with the snapshot,
 // not the instance's memory.
 func (r *Reap) Abandon() {
-	clear(r.seen)
+	r.seen.reset()
 	r.rec = r.rec[:0]
 	clear(r.restored)
 	r.restoreRan = false
