@@ -24,9 +24,9 @@ import (
 
 // record is one benchmark result.
 type record struct {
-	Name       string             `json:"name"`
-	Package    string             `json:"package,omitempty"`
-	Iterations int64              `json:"iterations"`
+	Name       string `json:"name"`
+	Package    string `json:"package,omitempty"`
+	Iterations int64  `json:"iterations"`
 	// Metrics maps unit to value: "ns/op", "B/op", "allocs/op" and any
 	// custom units (encoding/json sorts keys, so output is stable).
 	Metrics map[string]float64 `json:"metrics"`

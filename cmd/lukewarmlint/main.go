@@ -1,19 +1,19 @@
 // Command lukewarmlint is the multichecker for lukewarm's static-enforcement
 // suite (internal/analysis): the determinism/configuration analyzers plus the
 // perf-invariant suite (internal/analysis/perf) that holds annotated hot
-// paths to their declared compiler-verified invariants.
+// paths to their declared compiler-verified invariants — the hotdirective
+// grammar check and the perfgate compiler gate.
 //
 // Usage:
 //
-//	lukewarmlint [-list] [-perf=false] [packages]
+//	lukewarmlint [-list] [packages]
 //
 // Packages default to ./... and accept any `go list` pattern; run it from
 // the module root (type information is resolved from source through the
 // module's own `go list`, and the perf gate's diagnostic rebuild runs from
-// the current directory). -perf=false skips the perf suite — both the pure
-// analyzers and the `go build -gcflags=-m` compiler gate — for quick
-// iteration on the base suite. Exit status: 0 clean, 1 findings, 2 usage or
-// load failure. CI runs `make lint` (`go vet` + this command) as a hard gate.
+// the current directory). Exit status: 0 clean, 1 findings, 2 usage or load
+// failure. CI runs `make lint` (gofmt, `go vet` and this command) as a hard
+// gate.
 package main
 
 import (
@@ -28,24 +28,22 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	perfOn := flag.Bool("perf", true, "run the perf-invariant suite (hotpath analyzers + compiler gate)")
+	analyzers := append(analysis.All(), perf.Analyzers()...)
+	const perfgate = "verifies //lukewarm:hotpath invariants against go build -gcflags=" +
+		"'-m=2 -d=ssa/check_bce/debug=1' diagnostics"
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lukewarmlint [-list] [-perf=false] [packages]\n\nAnalyzers:\n")
-		for _, a := range allAnalyzers(true) {
+		fmt.Fprintf(os.Stderr, "usage: lukewarmlint [-list] [packages]\n\nAnalyzers:\n")
+		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "perfgate",
-			"verifies //lukewarm:hotpath invariants against go build -gcflags="+
-				"'-m=2 -d=ssa/check_bce/debug=1' diagnostics")
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", "perfgate", perfgate)
 	}
 	flag.Parse()
 	if *list {
-		for _, a := range allAnalyzers(*perfOn) {
+		for _, a := range analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
-		if *perfOn {
-			fmt.Printf("%-12s %s\n", "perfgate", "verifies //lukewarm:hotpath invariants against compiler diagnostics")
-		}
+		fmt.Printf("%-12s %s\n", "perfgate", perfgate)
 		return
 	}
 
@@ -58,19 +56,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
 		os.Exit(2)
 	}
-	diags, err := analysis.Run(pkgs, allAnalyzers(*perfOn))
+	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
 		os.Exit(2)
 	}
-	if *perfOn {
-		gate, err := perf.CompileCheck(".", pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
-			os.Exit(2)
-		}
-		diags = append(diags, gate...)
+	gate, err := perf.CompileCheck(".", pkgs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lukewarmlint:", err)
+		os.Exit(2)
 	}
+	diags = append(diags, gate...)
 	cwd, _ := os.Getwd()
 	for _, d := range diags {
 		if cwd != "" {
@@ -84,12 +80,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lukewarmlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func allAnalyzers(perfOn bool) []*analysis.Analyzer {
-	as := analysis.All()
-	if perfOn {
-		as = append(as, perf.Analyzers()...)
-	}
-	return as
 }

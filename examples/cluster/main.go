@@ -46,7 +46,7 @@ func fleet(intensity float64, resilient bool) lukewarm.FleetConfig {
 			MeanIATms:              8, // brisk: backlogs form, so hedging has work to do
 			Poisson:                true,
 			InvocationsPerInstance: 8,
-			KeepAliveMs:            200,
+			KeepAlive:              lukewarm.FixedTimeoutKeepAlive(200),
 			ColdStartMs:            25,
 			Seed:                   7,
 		},

@@ -48,7 +48,6 @@ func serve(fc string, leadMs float64) lukewarm.TrafficResult {
 		MeanIATms:              64,
 		Bursty:                 true,
 		InvocationsPerInstance: 16,
-		NoKeepAlive:            true,
 		AmbientThrash:          true,
 		SyncReplay:             true,
 		Seed:                   29,

@@ -55,7 +55,7 @@ func servePlacement(p lukewarm.Placer) lukewarm.TrafficResult {
 		MeanIATms:              2, // busy: each function fires every 2 ms
 		Poisson:                true,
 		InvocationsPerInstance: 6,
-		KeepAliveMs:            200,
+		KeepAlive:              lukewarm.FixedTimeoutKeepAlive(200),
 		ColdStartMs:            250,
 		ShedAfterMs:            50,
 		Placer:                 p,

@@ -32,7 +32,6 @@ func main() {
 		MeanIATms:              meanIAT,
 		Poisson:                true,
 		InvocationsPerInstance: 4,
-		KeepAliveMs:            0, // providers keep instances warm for minutes
 		AmbientThrash:          true,
 		Seed:                   42,
 	}

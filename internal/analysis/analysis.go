@@ -155,6 +155,10 @@ var resultPkgs = map[string]bool{
 	modulePath + "/internal/experiments": true,
 	modulePath + "/internal/runner":      true,
 	modulePath + "/internal/stats":       true,
+	modulePath + "/internal/program":     true,
+	modulePath + "/internal/reap":        true,
+	modulePath + "/internal/core":        true,
+	modulePath + "/internal/predict":     true,
 }
 
 func inModule(path string) bool {
@@ -208,13 +212,6 @@ func (p *Pass) waived(pos token.Pos, directive string) bool {
 		}
 	}
 	return false
-}
-
-// Waived is the exported face of waived, for the perf sub-package's
-// analyzers: their waiver directives (`hothygiene`, `hotalloc`) obey the same
-// placement and mandatory-reason rules as the base suite's.
-func (p *Pass) Waived(pos token.Pos, directive string) bool {
-	return p.waived(pos, directive)
 }
 
 // WaiverReason is the exported face of waiverReason: the perf sub-package

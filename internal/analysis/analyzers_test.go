@@ -48,11 +48,11 @@ func TestWaiverReason(t *testing.T) {
 		waives    bool
 	}{
 		{"//lukewarm:ordered keys reduced to a sum", "ordered", true},
-		{"//lukewarm:ordered", "ordered", false},           // bare: no reason
-		{"//lukewarm:ordered   ", "ordered", false},        // whitespace-only reason
-		{"//lukewarm:orderedX reason", "ordered", false},   // not the directive
-		{"//lukewarm:seed reason", "ordered", false},       // different directive
-		{"// lukewarm:ordered reason", "ordered", false},   // space breaks the marker
+		{"//lukewarm:ordered", "ordered", false},         // bare: no reason
+		{"//lukewarm:ordered   ", "ordered", false},      // whitespace-only reason
+		{"//lukewarm:orderedX reason", "ordered", false}, // not the directive
+		{"//lukewarm:seed reason", "ordered", false},     // different directive
+		{"// lukewarm:ordered reason", "ordered", false}, // space breaks the marker
 		{"//lukewarm:wallclock telemetry only", "wallclock", true},
 	}
 	for _, c := range cases {

@@ -23,8 +23,9 @@ func loadCompiled(t *testing.T, name string) []*analysis.Package {
 
 // TestCompileCheckViolations plants one violation per invariant kind and
 // asserts the compiler gate reports each: a deliberate escape fails noalloc
-// and noescape, a data-dependent index fails nobce, and a go:noinline
-// function fails inline with the compiler's own reason.
+// and noescape, a data-dependent index fails nobce, a go:noinline function
+// fails inline with the compiler's own reason, and a slice stored in an
+// interface field (implicit boxing) fails noalloc.
 func TestCompileCheckViolations(t *testing.T) {
 	diags, err := CompileCheck(moduleRoot, loadCompiled(t, "violate"))
 	if err != nil {
@@ -35,6 +36,7 @@ func TestCompileCheckViolations(t *testing.T) {
 		"hotpath escapes declares noescape, but the compiler reports",
 		"hotpath gather declares nobce, but a bounds check survives",
 		"hotpath heavy declares inline, but the compiler reports",
+		"hotpath (*core).bind declares noalloc, but the compiler reports",
 	}
 	for _, w := range wants {
 		found := false

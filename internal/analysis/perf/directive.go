@@ -19,27 +19,20 @@
 //	nobce     — every bounds check is eliminated (no "Found IsInBounds" /
 //	            "Found IsSliceInBounds" from -d=ssa/check_bce)
 //
-// Three layers enforce the annotations:
+// Two layers enforce the annotations:
 //
 //	hotdirective — grammar: unknown directive names, unknown invariants,
 //	               missing reasons, misplaced or duplicated annotations.
-//	hothygiene   — AST hygiene in every function reachable from a hotpath
-//	               root within its package: defer, map iteration, closures,
-//	               string concatenation, implicit interface boxing.
-//	               Waive with //lukewarm:hothygiene <reason>.
-//	allocsite    — explicit allocation sites on the same reachable set:
-//	               make/new, heap composite literals, append without a
-//	               pre-sized backing array.
-//	               Waive with //lukewarm:hotalloc <reason>.
 //	CompileCheck — the compiler-diagnostic gate: recompiles annotated
 //	               packages with `-gcflags=-m=2 -d=ssa/check_bce/debug=1`
 //	               and verifies each declared invariant against the escape,
 //	               inline, and bounds-check output.
 //
-// The static passes are deliberately conservative approximations — the
-// compiler gate is ground truth for what actually allocates; the AST passes
-// front-run it with precise source positions and catch allocation-prone
-// idioms (defer, boxing) the escape output attributes poorly.
+// The compiler is the one static witness of what allocates, inlines or keeps
+// a bounds check. Unannotated callees are held by runtime witnesses instead:
+// the testing.AllocsPerRun pins in the hot packages measure the whole call
+// tree, including the interface and cross-package calls an AST pass cannot
+// follow.
 package perf
 
 import (
@@ -47,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"lukewarm/internal/analysis"
@@ -74,9 +68,18 @@ var knownDirectives = map[string]bool{
 	"floateq":    true,
 	"nostat":     true,
 	"hotpath":    true,
-	"hothygiene": true,
-	"hotalloc":   true,
 }
+
+// knownDirectiveList renders knownDirectives, sorted, for the unknown-name
+// diagnostic.
+var knownDirectiveList = func() string {
+	names := make([]string, 0, len(knownDirectives))
+	for name := range knownDirectives {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}()
 
 // Hotpath is one well-formed annotation paired with its function.
 type Hotpath struct {
@@ -91,8 +94,8 @@ type Hotpath struct {
 }
 
 // reportFunc receives grammar problems during scanning; nil consumers
-// (hygiene, allocsite, CompileCheck) skip malformed annotations silently and
-// leave the reporting to the hotdirective analyzer.
+// (CompileCheck) skip malformed annotations silently and leave the reporting
+// to the hotdirective analyzer.
 type reportFunc func(pos token.Pos, format string, args ...any)
 
 // hotpathsIn scans the files' comments and pairs each well-formed
@@ -244,7 +247,7 @@ func runHotDirective(pass *analysis.Pass) error {
 				name, tail, _ := strings.Cut(rest, " ")
 				name, _, _ = strings.Cut(name, "\t")
 				if !knownDirectives[name] {
-					pass.Reportf(c.Pos(), "unknown lukewarm directive %q; this comment waives nothing (known: ordered, seed, wallclock, novalidate, floateq, nostat, hotpath, hothygiene, hotalloc)", name)
+					pass.Reportf(c.Pos(), "unknown lukewarm directive %q; this comment waives nothing (known: %s)", name, knownDirectiveList)
 					continue
 				}
 				if name != "hotpath" && strings.TrimSpace(stripWant(tail)) == "" {
@@ -258,66 +261,8 @@ func runHotDirective(pass *analysis.Pass) error {
 	return nil
 }
 
-// Analyzers returns the perf suite's pure static passes in a stable order
-// (the compiler gate, CompileCheck, runs separately: it needs the go tool).
+// Analyzers returns the perf suite's pure static passes (the compiler gate,
+// CompileCheck, runs separately: it needs the go tool).
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{HotDirective, HotHygiene, AllocSite}
-}
-
-// reachableFrom walks package-internal calls from the hotpath roots and
-// returns every function declaration reachable without leaving the package.
-// Calls through interfaces and function values are cut points — they cannot
-// be resolved statically — so the set is the portion of the hot path this
-// package owns.
-func reachableFrom(pass *analysis.Pass, roots []*Hotpath) []*ast.FuncDecl {
-	decls := map[types.Object]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name == nil {
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
-				decls[obj] = fd
-			}
-		}
-	}
-	seen := map[*ast.FuncDecl]bool{}
-	var order []*ast.FuncDecl
-	var visit func(fd *ast.FuncDecl)
-	visit = func(fd *ast.FuncDecl) {
-		if seen[fd] {
-			return
-		}
-		seen[fd] = true
-		order = append(order, fd)
-		if fd.Body == nil {
-			return
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var id *ast.Ident
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			default:
-				return true
-			}
-			if obj := pass.TypesInfo.Uses[id]; obj != nil {
-				if callee, ok := decls[obj]; ok {
-					visit(callee)
-				}
-			}
-			return true
-		})
-	}
-	for _, h := range roots {
-		visit(h.Decl)
-	}
-	return order
+	return []*analysis.Analyzer{HotDirective}
 }

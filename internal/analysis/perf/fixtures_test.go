@@ -34,7 +34,3 @@ func runFixture(t *testing.T, a *analysis.Analyzer, fixture string) {
 }
 
 func TestHotDirectiveFixture(t *testing.T) { runFixture(t, HotDirective, "hotdirective") }
-
-func TestHotHygieneFixture(t *testing.T) { runFixture(t, HotHygiene, "hothygiene") }
-
-func TestAllocSiteFixture(t *testing.T) { runFixture(t, AllocSite, "hotalloc") }

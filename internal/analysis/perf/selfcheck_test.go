@@ -7,9 +7,9 @@ import (
 )
 
 // TestRepoPerfClean mirrors the base suite's TestRepoLintsClean for the perf
-// suite: the hotpath analyzers and the compiler-diagnostic gate over the
-// whole module must report nothing — i.e. `go run ./cmd/lukewarmlint ./...`
-// stays exit 0 with -perf on. It also pins the acceptance floor of eight
+// suite: the directive grammar check and the compiler-diagnostic gate over
+// the whole module must report nothing — i.e. `go run ./cmd/lukewarmlint
+// ./...` stays exit 0. It also pins the acceptance floor of eight
 // annotated hot-path functions across the timing-core packages.
 func TestRepoPerfClean(t *testing.T) {
 	if testing.Short() {

@@ -24,3 +24,16 @@ func gather(xs []int, idx []int) int {
 //go:noinline
 //lukewarm:hotpath inline fixture: explicitly marked noinline, so the verdict is cannot-inline
 func heavy(a, b int) int { return a + b }
+
+type prefetcher interface{ Prefetch() }
+
+type multi []prefetcher
+
+func (m multi) Prefetch() {}
+
+type core struct{ pf prefetcher }
+
+//lukewarm:hotpath noalloc fixture: storing a slice in an interface field boxes its header on every call
+func (c *core) bind(m multi) {
+	c.pf = m
+}

@@ -44,6 +44,6 @@ func host(m map[int]int) int {
 	for _, v := range m {
 		s += v
 	}
-	//lukewarm:hothygiene // want `//lukewarm:hothygiene requires a reason; a bare directive does not waive`
+	//lukewarm:ordered // want `//lukewarm:ordered requires a reason; a bare directive does not waive`
 	return s
 }

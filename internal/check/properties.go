@@ -9,6 +9,7 @@ import (
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/faults"
 	"lukewarm/internal/mem"
+	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/topdown"
 	"lukewarm/internal/workload"
@@ -146,7 +147,7 @@ func trafficConfig() serverless.TrafficConfig {
 	cfg.MeanIATms = 2
 	cfg.HeavyTail = true
 	cfg.InvocationsPerInstance = 12
-	cfg.KeepAliveMs = 1
+	cfg.KeepAlive = sched.FixedTimeout(1)
 	cfg.ColdStartMs = 5
 	cfg.MaxQueue = 2
 	cfg.ShedAfterMs = 4

@@ -208,8 +208,7 @@ const (
 
 // event is one entry of the fleet event heap.
 type event struct {
-	at   mem.Cycle
-	seq  int // tie-breaker: insertion order
+	at   mem.Cycle // due time, the heap key
 	kind int
 	// Arrival fields.
 	flow    int
@@ -218,63 +217,6 @@ type event struct {
 	reqKey  uint64    // keys the request's fault draws
 	// Node-event field.
 	node int
-}
-
-// eventQueue is a typed min-heap of events ordered by (time, insertion
-// order). The ordering is total, so the pop sequence — the only observable —
-// is independent of heap internals; the typed implementation (mirroring
-// serverless.arrivalQueue) exists so pushes do not box each event into an
-// interface on every enqueue.
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push adds e onto the heap.
-//lukewarm:hotpath noalloc every fleet event — arrivals, retries, crashes, readmissions — is enqueued here
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e) //lukewarm:hotalloc the backing array grows to the in-flight high-water mark once, then is reused
-	h := *q
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event.
-//lukewarm:hotpath noalloc,noescape one pop per fleet event; pure in-place swaps
-func (q *eventQueue) pop() event {
-	h := *q
-	n := len(h) - 1
-	v := h[0]
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && h.less(r, l) {
-			child = r
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return v
 }
 
 // node is one failure domain: a full serverless server plus its health and
@@ -318,8 +260,7 @@ type run struct {
 	aff         []affinity // by workload index
 	lowPri      map[string]bool
 	cyclesPerMs float64
-	q           eventQueue
-	seq         int
+	q           sched.Queue[event]
 	live        int // requests not yet resolved (incl. not yet injected)
 
 	// Per-attempt placement scratch, reused across events so the dispatch
@@ -446,7 +387,7 @@ func (r *run) stepOne() error {
 	if r.q.Len() == 0 {
 		return cfgerr.New("cluster: event heap drained with %d requests unresolved", r.live)
 	}
-	e := r.q.pop()
+	_, e := r.q.Pop()
 	r.accountTier(e.at)
 	switch e.kind {
 	case evNodeCrash:
@@ -465,12 +406,8 @@ func reqKey(flowIdx, reqIdx int) uint64 {
 	return program.Mix(uint64(flowIdx)<<32|uint64(uint32(reqIdx)), 0x4EC0)
 }
 
-// push enqueues an event with the next sequence number.
-func (r *run) push(e event) {
-	e.seq = r.seq
-	r.seq++
-	r.q.push(e)
-}
+// push enqueues an event at its own time.
+func (r *run) push(e event) { r.q.Push(e.at, e) }
 
 // accountTier charges the time since the last event to the current tier.
 func (r *run) accountTier(at mem.Cycle) {

@@ -211,6 +211,7 @@ func (c *Core) end(m runMark, acc *tdAcc, instrs uint64) RunResult {
 
 // exec is stage 2 for one dynamic instruction; x is stage 1's translation
 // of it.
+//
 //lukewarm:hotpath noalloc,noescape,nobce the per-instruction timing step; everything the simulator measures flows through it
 func (c *Core) exec(in *program.Instr, x *xlat, acc *tdAcc) {
 	c.instrCount++
@@ -241,6 +242,7 @@ func (c *Core) exec(in *program.Instr, x *xlat, acc *tdAcc) {
 // fetchBlock performs the instruction-side access for a new fetch block:
 // the ITLB walk's latency, L1-I access, miss-latency exposure with
 // fetch-engine overlap, and prefetcher notification.
+//
 //lukewarm:hotpath noalloc,noescape the batched front-end step, once per 64 B fetch block
 func (c *Core) fetchBlock(vaddr uint64, x *xlat, acc *tdAcc) {
 	cfg := &c.Cfg
@@ -290,6 +292,7 @@ func (c *Core) fetchBlock(vaddr uint64, x *xlat, acc *tdAcc) {
 
 // load performs the data-side access for a load and charges exposed miss
 // latency to Backend Bound under the MLP model.
+//
 //lukewarm:hotpath noalloc,noescape,nobce roughly a third of dynamic instructions are loads
 func (c *Core) load(in *program.Instr, x *xlat, acc *tdAcc) {
 	cfg := &c.Cfg
@@ -330,6 +333,7 @@ func (c *Core) load(in *program.Instr, x *xlat, acc *tdAcc) {
 
 // store retires through the store buffer: it consumes cache/DRAM bandwidth
 // but does not stall the pipeline.
+//
 //lukewarm:hotpath noalloc,noescape,nobce store retirement shares the data path's zero-alloc requirement
 func (c *Core) store(in *program.Instr, x *xlat, acc *tdAcc) {
 	paddr := x.dataPA
@@ -346,6 +350,7 @@ func (c *Core) store(in *program.Instr, x *xlat, acc *tdAcc) {
 
 // branch resolves a control transfer: direction prediction for
 // conditionals, BTB target check for taken branches.
+//
 //lukewarm:hotpath noalloc,noescape one control transfer per generated code line
 func (c *Core) branch(in *program.Instr, acc *tdAcc) {
 	cfg := &c.Cfg

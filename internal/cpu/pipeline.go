@@ -105,6 +105,7 @@ func (f *frontEnd) start(mmu *vm.MMU, src InstrSource) {
 // fill runs stage 1 over at most limit (<= batchLen) further instructions
 // of the stream into b and returns how many it holds: limit unless the
 // stream ended.
+//
 //lukewarm:hotpath noalloc,noescape,nobce the stage-1 batch loop: walks and translates every instruction ahead of exec
 func (f *frontEnd) fill(b *batch, limit int) int {
 	n := f.read(b.instr[:], limit)
@@ -130,6 +131,7 @@ func (f *frontEnd) fill(b *batch, limit int) int {
 
 // read fills buf[:limit] from the source, completely unless the stream
 // ends. It never asks a source for more after the source reported the end.
+//
 //lukewarm:hotpath noalloc,noescape the per-batch source drain, through NextBatch or one Next call per instruction
 func (f *frontEnd) read(buf []program.Instr, limit int) int {
 	buf = buf[:limit]
@@ -314,6 +316,7 @@ func (c *Core) runPipelined(p *pipe, acc *tdAcc) uint64 {
 }
 
 // execBatch is stage 2 over one batch.
+//
 //lukewarm:hotpath noalloc,noescape,nobce stage 2's batch loop; every simulated instruction passes through it
 func (c *Core) execBatch(b *batch, acc *tdAcc) {
 	for i := range b.instr {

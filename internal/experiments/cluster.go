@@ -36,15 +36,15 @@ const (
 	clusterSeed      = 31
 	clusterFaultSeed = 1009
 
-	clusterDeadlineMs  = 150
-	clusterRetryMax    = 2
-	clusterBackoffMs   = 2
-	clusterHedgeMinMs  = 1
-	clusterEjectAfter  = 4
-	clusterEjectMs     = 50
-	clusterShedLowMs   = 20
-	clusterRecOnlyMs   = 40
-	clusterRejectMs    = 80
+	clusterDeadlineMs = 150
+	clusterRetryMax   = 2
+	clusterBackoffMs  = 2
+	clusterHedgeMinMs = 1
+	clusterEjectAfter = 4
+	clusterEjectMs    = 50
+	clusterShedLowMs  = 20
+	clusterRecOnlyMs  = 40
+	clusterRejectMs   = 80
 )
 
 // clusterNodeCounts is the fleet-size axis.
@@ -123,7 +123,7 @@ func (sp clusterSpec) config(ws []workload.Workload) cluster.Config {
 			MeanIATms:              clusterIATms,
 			Poisson:                true,
 			InvocationsPerInstance: sp.invocs,
-			KeepAliveMs:            clusterKeepMs,
+			KeepAlive:              sched.FixedTimeout(clusterKeepMs),
 			ColdStartMs:            clusterColdMs,
 			Seed:                   clusterSeed,
 		},

@@ -105,7 +105,6 @@ func (sp prewarmSpec) traffic(names []string) serverless.TrafficConfig {
 	cfg := serverless.TrafficConfig{
 		MeanIATms:              prewarmIATms,
 		InvocationsPerInstance: sp.invocs,
-		NoKeepAlive:            true,
 		AmbientThrash:          true,
 		// Production restore semantics: dispatch-time replay blocks the
 		// invocation, so every cell — the bare baseline included — pays its

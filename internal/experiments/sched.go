@@ -159,7 +159,7 @@ func (sp schedSpec) traffic() serverless.TrafficConfig {
 	if sp.sweep == "place" {
 		cfg.MeanIATms = schedPlaceIATms
 		cfg.ShedAfterMs = schedPlaceShedMs
-		cfg.KeepAliveMs = schedPlaceKeepMs
+		cfg.KeepAlive = sched.FixedTimeout(schedPlaceKeepMs)
 		cfg.ColdStartMs = 250
 		cfg.Placer = newPlacer(sp.policy)
 		cfg.Seed = schedPlaceSeed

@@ -259,6 +259,7 @@ func tagOf(addr uint64) uint64 { return addr >> LineShift }
 // extra lanes above a true match) and read a tag only to confirm a
 // candidate, so a miss usually reads no tag at all; a tag is resident in at
 // most one way, so the first confirmed candidate is the answer.
+//
 //lukewarm:hotpath noalloc,noescape the tag compare runs once per cache per simulated memory reference
 func (c *Cache) lookup(addr uint64) (int, int) {
 	s := int((addr >> LineShift) & c.setMask)
@@ -298,6 +299,7 @@ func (c *Cache) scanWide(base int, tag uint64) int {
 // way already in front comes out unchanged, so there is no early return.
 // Wide caches record a stamp instead (stamp); callers pick by c.packed, so
 // the stamp path stays out of line and touch inlines.
+//
 //lukewarm:hotpath noalloc,inline every hit and install moves a way to the front; the SWAR update must inline branch-free
 func (c *Cache) touch(s, w int) {
 	m := &c.meta[s]
@@ -319,6 +321,7 @@ const nibbles = 0x1111111111111111
 
 // stamp is touch for caches wider than the packed list: a fresh LRU stamp.
 // It stays out of line so the packed path's callers stay small.
+//
 //go:noinline
 func (c *Cache) stamp(s, w int) {
 	c.lruTick++
@@ -335,6 +338,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // now: recency (touch, or a stamp on wide caches), then use. It returns
 // the residual wait for an in-flight prefetched line and whether the hit
 // was that line's first use.
+//
 //lukewarm:hotpath noalloc,noescape the demand hit path of the outer levels and of standalone caches
 func (c *Cache) hit(now Cycle, s, i int, k Kind, write bool) (Cycle, bool) {
 	if w := i - s*c.ways; c.packed {
@@ -352,6 +356,7 @@ func (c *Cache) hit(now Cycle, s, i int, k Kind, write bool) (Cycle, bool) {
 // use counts a demand hit of kind k on absolute way i and sets the line's
 // used bit, and its dirty bit for a write. It returns the line's previous
 // flags: a prefetched line not used before needs firstUse.
+//
 //lukewarm:hotpath noalloc,inline the L1 hit path's bookkeeping; with touch inlined too, an L1 hit costs the lookup call only
 func (c *Cache) use(i int, k Kind, write bool) uint8 {
 	c.Stats.DemandAccesses[k&1]++
@@ -368,6 +373,7 @@ func (c *Cache) use(i int, k Kind, write bool) uint8 {
 // firstUse settles a prefetched line's first demand use: the covered miss
 // and, if its data has not arrived, the late one. It returns the residual
 // wait.
+//
 //lukewarm:hotpath noalloc,noescape every covered miss of every prefetcher lands here once
 func (c *Cache) firstUse(now Cycle, i int, f uint8) Cycle {
 	fk := flagsKind(f)
@@ -385,6 +391,7 @@ func (c *Cache) firstUse(now Cycle, i int, f uint8) Cycle {
 func unusedPrefetch(f uint8) uint64 { return uint64(f>>1&^(f>>2)) & 1 }
 
 // miss counts a demand miss of kind k.
+//
 //lukewarm:hotpath noalloc,inline,nobce every demand miss at every level counts here
 func (c *Cache) miss(k Kind) {
 	c.Stats.DemandAccesses[k&1]++
@@ -409,6 +416,7 @@ func prefetchFlags(k Kind) uint8 { return linePrefetched | kindFlag(k) }
 // line. ready is when a prefetched line's data arrives. Under the
 // single-scan contract, s comes from a lookup of addr that missed, and
 // nothing has touched the set since.
+//
 //lukewarm:hotpath noalloc,noescape every miss and prefetch fill on every level installs here; the victim must stay on the stack
 func (c *Cache) install(s int, addr uint64, nf uint8, ready Cycle) victim {
 	if c.meta[s].epoch != c.epoch {
@@ -511,6 +519,7 @@ func (c *Cache) fill(now Cycle, addr uint64, k Kind, prefetched bool, ready Cycl
 // mergeDirty writes a dirty line evicted from the level above back into c:
 // it marks addr dirty if present, else installs it dirty and returns the
 // line that install displaced.
+//
 //lukewarm:hotpath noalloc,noescape every dirty writeback between levels merges here
 func (c *Cache) mergeDirty(addr uint64, k Kind) victim {
 	s, i := c.lookup(addr)

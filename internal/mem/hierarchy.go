@@ -131,6 +131,7 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // FetchInstr performs a demand instruction fetch of the block containing
 // paddr at time now.
+//
 //lukewarm:hotpath noalloc,noescape every simulated fetch block enters the hierarchy here
 func (h *Hierarchy) FetchInstr(now Cycle, paddr uint64) Result {
 	if h.PerfectL1I {
@@ -146,6 +147,7 @@ func (h *Hierarchy) FetchInstr(now Cycle, paddr uint64) Result {
 }
 
 // AccessData performs a demand data access at time now. write marks stores.
+//
 //lukewarm:hotpath noalloc,noescape every simulated load and store enters the hierarchy here; the L1 hit and the same-block prefetch check stay inline
 func (h *Hierarchy) AccessData(now Cycle, paddr uint64, write bool) Result {
 	l1 := h.L1D
@@ -179,6 +181,7 @@ func (h *Hierarchy) AccessData(now Cycle, paddr uint64, write bool) Result {
 // longer than the rest of the miss path it replaced (the demand would
 // otherwise have fetched the line itself): the cap shrinks by the hit
 // latencies already paid at each level.
+//
 //lukewarm:hotpath noalloc,noescape every L1 miss walks the outer levels here, one tag scan per level
 func (h *Hierarchy) missL1(now Cycle, paddr uint64, k Kind, write bool, l1 *Cache, s1 int, lat Cycle) Result {
 	l1.miss(k)
@@ -233,6 +236,7 @@ func (h *Hierarchy) missL1(now Cycle, paddr uint64, k Kind, write bool, l1 *Cach
 // fillOnPath installs the block into the L2 and the L1 at the sets their
 // lookups returned, accounting for dirty writebacks reaching memory from
 // LLC evictions.
+//
 //lukewarm:hotpath noalloc,noescape every L2 miss refills the path here; victims must stay on the stack
 func (h *Hierarchy) fillOnPath(now Cycle, paddr uint64, k Kind, write bool, l1 *Cache, s1, s2 int) {
 	if v := h.L2.install(s2, paddr, demandFlags(k), 0); v.valid && v.dirty {
@@ -256,6 +260,7 @@ func (h *Hierarchy) fillOnPath(now Cycle, paddr uint64, k Kind, write bool, l1 *
 // nextLinePrefetch implements the simple L1-D next-line prefetcher from
 // Table 1: on a demand access to a new block blk, pull in the sequentially
 // next block if it is not already in the L1-D.
+//
 //lukewarm:hotpath noalloc,noescape runs on every data access that changes block
 func (h *Hierarchy) nextLinePrefetch(now Cycle, blk uint64) {
 	h.lastDataBlock = blk
@@ -273,6 +278,7 @@ func (h *Hierarchy) nextLinePrefetch(now Cycle, blk uint64) {
 // (and the LLC) where missing, and returns the cycle its data arrives
 // above the L2: ready plus the latency of the level that has it. The DRAM
 // traffic is labelled cls; displaced lines are discarded.
+//
 //lukewarm:hotpath noalloc,noescape the shared outer half of the next-line, PIF and buffer prefetch paths
 func (h *Hierarchy) prefetchOuter(now, ready Cycle, paddr uint64, k Kind, cls TrafficClass) Cycle {
 	s2, i2 := h.L2.lookup(paddr)
@@ -294,6 +300,7 @@ func (h *Hierarchy) prefetchOuter(now, ready Cycle, paddr uint64, k Kind, cls Tr
 // the way) on behalf of an instruction prefetcher, returning the cycle at
 // which the data is available in the L2. cls labels the DRAM traffic.
 // If the block is already L2-resident the call is a no-op returning now.
+//
 //lukewarm:hotpath noalloc,noescape Jukebox replay issues one call per recorded block
 func (h *Hierarchy) PrefetchIntoL2(now Cycle, paddr uint64, cls TrafficClass) Cycle {
 	s2, i2 := h.L2.lookup(paddr)

@@ -48,6 +48,7 @@ func newDivider(d uint64) divider {
 }
 
 // div returns n / dv.d.
+//
 //lukewarm:hotpath noalloc,inline,nobce the multiply-high sequence only beats hardware divide if it inlines
 func (dv divider) div(n uint64) uint64 {
 	if dv.magic == 0 {
@@ -63,6 +64,7 @@ func (dv divider) div(n uint64) uint64 {
 
 // mod returns n % dv.d. It panics on the zero divider, mirroring
 // RNG.Intn's bound check.
+//
 //lukewarm:hotpath noalloc,inline,nobce one mod per generated effective address
 func (dv divider) mod(n uint64) uint64 {
 	if dv.d == 0 {

@@ -13,7 +13,7 @@ func NewRNG(seed uint64) *RNG {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	//lukewarm:hotalloc inlined at every hot call site and immediately dereferenced, so escape analysis keeps it on the stack (perfgate-verified)
+	// inlined at every hot call site and immediately dereferenced, so escape analysis keeps it on the stack (perfgate-verified)
 	return &RNG{state: seed}
 }
 
@@ -33,6 +33,7 @@ func Mix(a, b uint64) uint64 {
 }
 
 // Uint64 returns the next raw 64-bit value.
+//
 //lukewarm:hotpath noalloc,noescape,inline,nobce three draws per generated instruction; must compile to straight-line xorshift
 func (r *RNG) Uint64() uint64 {
 	r.state ^= r.state >> 12

@@ -47,6 +47,7 @@ func (p *Program) NewInvocation(id uint64) *Invocation {
 // NewInvocation — the server's dispatch path uses it to serve every
 // invocation of an instance from one pooled walker with no steady-state
 // allocation.
+//
 //lukewarm:hotpath noalloc the dispatch path pools walkers; a per-invocation allocation here multiplies across the fleet
 func (p *Program) ResetInvocation(inv *Invocation, id uint64) {
 	plan := inv.plan[:0]
@@ -69,9 +70,9 @@ func (p *Program) buildPlanInto(plan []int, rng *RNG) []int {
 	per := float64(p.cfg.InstrPerLine)
 	expand := p.callExpansion()
 	est := 0.0
-	//lukewarm:hothygiene the closure never escapes buildPlanInto, so it and its captures stay on the stack (perfgate-verified)
+	// the closure never escapes buildPlanInto, so it and its captures stay on the stack (perfgate-verified)
 	add := func(si int) {
-		plan = append(plan, si) //lukewarm:hotalloc the plan buffer is pooled per walker and grows to its high-water mark once
+		plan = append(plan, si) // the plan buffer is pooled per walker and grows to its high-water mark once
 		mul := expand
 		if si == p.dispatch {
 			mul = 1 // the dispatcher has no call-outs
@@ -166,6 +167,7 @@ func (inv *Invocation) Emitted() uint64 { return inv.emitted }
 // current code line, which needs no control-transfer decision — and falls
 // back to Next itself for line-terminal instructions, so the two paths
 // share the control-transfer logic rather than duplicating it.
+//
 //lukewarm:hotpath noalloc,noescape the batched generator feeds the core's fetch loop; PR 9's 1.3x lives here
 func (inv *Invocation) NextBatch(buf []Instr) int {
 	p := inv.p
@@ -193,6 +195,7 @@ func (inv *Invocation) NextBatch(buf []Instr) int {
 }
 
 // Next produces the next dynamic instruction; ok is false at stream end.
+//
 //lukewarm:hotpath noalloc,noescape the per-instruction generator; the Instr result must stay in registers
 func (inv *Invocation) Next() (in Instr, ok bool) {
 	if inv.done {
@@ -272,6 +275,7 @@ func (inv *Invocation) Next() (in Instr, ok bool) {
 
 // emitOp fills in a non-control instruction: plain, load, or store, with a
 // generated effective address.
+//
 //lukewarm:hotpath noalloc,noescape,nobce runs once per generated instruction; threshold compares only
 func (inv *Invocation) emitOp(in *Instr) {
 	der := &inv.p.der
@@ -309,6 +313,7 @@ const coldRegionBytes = 256 << 10
 // footprint — which is precisely why the paper targets instructions
 // (Sec. 2.5), and why indiscriminate whole-LLC restoration wastes bandwidth
 // on stale data.
+//
 //lukewarm:hotpath noalloc,noescape,nobce one effective address per load/store; the magic-divider mods must not spill
 func (inv *Invocation) dataAddr() uint64 {
 	cfg := &inv.p.cfg

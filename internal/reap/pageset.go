@@ -25,6 +25,7 @@ const fibHash = 0x9E3779B97F4A7C15
 const minPageSlots = 64
 
 // add inserts page and reports whether it was absent.
+//
 //lukewarm:hotpath noalloc,noescape the per-access REAP record check; a page already seen costs one hash, one probe and a compare
 func (p *pageSet) add(page uint64) bool {
 	mask := len(p.slots) - 1
@@ -58,7 +59,7 @@ func (p *pageSet) grow() {
 
 // init makes an empty table of n slots, a power of two.
 func (p *pageSet) init(n int) {
-	p.slots = make([]pageSlot, n) //lukewarm:hotalloc the table doubles to the working set's high-water mark once, then is reused
+	p.slots = make([]pageSlot, n) // the table doubles to the working set's high-water mark once, then is reused
 	p.gen = 1
 	p.n = 0
 	p.shift = 64

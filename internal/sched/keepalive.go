@@ -1,5 +1,7 @@
 package sched
 
+import "lukewarm/internal/cfgerr"
+
 // Decision is a KeepAlive policy's verdict on one idle gap, consulted when
 // the function's next invocation arrives. The gap runs from the previous
 // invocation's completion to this arrival.
@@ -40,6 +42,15 @@ type fixedTimeout struct{ timeoutMs float64 }
 func FixedTimeout(timeoutMs float64) KeepAlive { return fixedTimeout{timeoutMs: timeoutMs} }
 
 func (fixedTimeout) Name() string { return "FixedTimeout" }
+
+// ValidateKeepAlive rejects a policy no run can honor: a FixedTimeout with a
+// negative timeout. Errors wrap cfgerr.ErrBadConfig.
+func ValidateKeepAlive(ka KeepAlive) error {
+	if p, ok := ka.(fixedTimeout); ok && p.timeoutMs < 0 {
+		return cfgerr.New("keep-alive: negative FixedTimeout %g ms", p.timeoutMs)
+	}
+	return nil
+}
 
 func (p fixedTimeout) Decide(_ string, idleMs float64) Decision {
 	if idleMs > p.timeoutMs {

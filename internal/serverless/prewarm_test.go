@@ -24,7 +24,6 @@ func predictTraffic(fc string, leadMs float64) TrafficConfig {
 	cfg := TrafficConfig{
 		MeanIATms:              50,
 		InvocationsPerInstance: 6,
-		NoKeepAlive:            true,
 		Seed:                   3,
 	}
 	if fc != "" {

@@ -234,6 +234,7 @@ func (s *Server) Invoke(inst *Instance) cpu.RunResult { return s.InvokeOn(0, ins
 // Jukebox base/limit registers of the chosen core from the instance's
 // bookkeeping (Sec. 3.4.1) — metadata lives in memory, so the instance can
 // run on any core.
+//
 //lukewarm:hotpath noalloc the fleet multiplies every dispatch by millions of invocations; the OS model must not allocate
 func (s *Server) InvokeOn(idx int, inst *Instance) cpu.RunResult {
 	c := s.Cores[idx]
@@ -244,18 +245,19 @@ func (s *Server) InvokeOn(idx int, inst *Instance) cpu.RunResult {
 	}
 	// Compose the present warm-up mechanisms in restore order: REAP's bulk
 	// page restore first (LLC + TLBs), then Jukebox's region replay (L2),
-	// then any core-level prefetcher.
+	// then any core-level prefetcher. The per-core scratch grows to the
+	// mechanism count (<=3) once, then is reused.
 	multi := s.pfScratch[idx][:0]
 	if inst.Reap != nil {
 		inst.Reap.Bind(c.Hier, c.MMU)
-		multi = append(multi, inst.Reap) //lukewarm:hotalloc per-core scratch grows to the mechanism count (<=3) once
+		multi = append(multi, inst.Reap)
 	}
 	if inst.Jukebox != nil {
 		inst.Jukebox.Bind(c.Hier, c.MMU)
-		multi = append(multi, inst.Jukebox) //lukewarm:hotalloc per-core scratch grows to the mechanism count (<=3) once
+		multi = append(multi, inst.Jukebox)
 	}
 	if s.corePFs[idx] != nil {
-		multi = append(multi, s.corePFs[idx]) //lukewarm:hotalloc per-core scratch grows to the mechanism count (<=3) once
+		multi = append(multi, s.corePFs[idx])
 	}
 	s.pfScratch[idx] = multi
 	switch len(multi) {

@@ -48,21 +48,6 @@ type TrafficConfig struct {
 	DiurnalPeriodMs float64
 	// InvocationsPerInstance bounds the run.
 	InvocationsPerInstance int
-	// KeepAliveMs evicts instances idle longer than this; an evicted
-	// instance's next invocation is a cold start (paper Sec. 2.1). 0 is the
-	// default — keep instances forever, the paper's 5-60 min provider
-	// window being far above typical IATs.
-	//
-	// Deprecated as a "keep forever" request: 0 doubles as the zero value,
-	// so it cannot express the intent explicitly. Set NoKeepAlive for that;
-	// 0 stays honored for compatibility. KeepAlive, when non-nil,
-	// supersedes both fields.
-	KeepAliveMs float64
-	// NoKeepAlive explicitly requests that instances are never evicted
-	// (equivalent to the KeepAliveMs = 0 default, but self-documenting).
-	// Setting it together with a positive KeepAliveMs is a configuration
-	// error.
-	NoKeepAlive bool
 	// ColdStartMs is the instance boot cost charged to a cold start
 	// (paper Sec. 2.1: "hundreds of milliseconds in today's clouds").
 	ColdStartMs float64
@@ -86,8 +71,10 @@ type TrafficConfig struct {
 	// placers (RoundRobin, StickyAffinity) must not be shared between
 	// concurrent ServeTraffic runs.
 	Placer sched.Placer
-	// KeepAlive decides instance eviction and pre-warming. Nil derives the
-	// policy from KeepAliveMs/NoKeepAlive (FixedTimeout or NoEvict).
+	// KeepAlive decides instance eviction and pre-warming; an evicted
+	// instance's next invocation is a cold start (paper Sec. 2.1). Nil
+	// selects sched.NoEvict(), keeping instances forever: the providers'
+	// 5-60 min window is far above typical IATs.
 	// Learning policies (HybridHistogram) must not be shared between
 	// concurrent ServeTraffic runs.
 	KeepAlive sched.KeepAlive
@@ -124,10 +111,6 @@ func (c TrafficConfig) Validate() error {
 		return cfgerr.New("traffic: MeanIATms must be positive, got %g", c.MeanIATms)
 	case c.InvocationsPerInstance <= 0:
 		return cfgerr.New("traffic: InvocationsPerInstance must be positive, got %d", c.InvocationsPerInstance)
-	case c.KeepAliveMs < 0:
-		return cfgerr.New("traffic: negative KeepAliveMs %g", c.KeepAliveMs)
-	case c.NoKeepAlive && c.KeepAliveMs > 0:
-		return cfgerr.New("traffic: NoKeepAlive contradicts KeepAliveMs %g", c.KeepAliveMs)
 	case c.ColdStartMs < 0:
 		return cfgerr.New("traffic: negative ColdStartMs %g", c.ColdStartMs)
 	case c.DiurnalPeriodMs < 0:
@@ -136,6 +119,9 @@ func (c TrafficConfig) Validate() error {
 		return cfgerr.New("traffic: negative MaxQueue %d", c.MaxQueue)
 	case c.ShedAfterMs < 0:
 		return cfgerr.New("traffic: negative ShedAfterMs %g", c.ShedAfterMs)
+	}
+	if err := sched.ValidateKeepAlive(c.KeepAlive); err != nil {
+		return err
 	}
 	return c.Predict.Validate()
 }
@@ -170,14 +156,10 @@ func (c TrafficConfig) placer() sched.Placer {
 
 // keepAlive resolves the eviction policy.
 func (c TrafficConfig) keepAlive() sched.KeepAlive {
-	switch {
-	case c.KeepAlive != nil:
-		return c.KeepAlive
-	//lukewarm:floateq 0 is the no-keep-alive config sentinel, an exact configured value, not arithmetic
-	case c.NoKeepAlive || c.KeepAliveMs == 0:
+	if c.KeepAlive == nil {
 		return sched.NoEvict()
 	}
-	return sched.FixedTimeout(c.KeepAliveMs)
+	return c.KeepAlive
 }
 
 // DefaultTrafficConfig returns a 1 s Poisson workload, the representative
@@ -415,72 +397,6 @@ func (s TrafficSummary) ResidentMsPerServed() float64 {
 	}
 	return s.ResidentMs / float64(s.Served)
 }
-
-// arrival is one pending invocation.
-type arrival struct {
-	at   mem.Cycle
-	inst *Instance
-	seq  int // tie-breaker for determinism
-}
-
-// arrivalQueue is a typed min-heap of arrivals ordered by (time, seq). The
-// ordering is total, so the pop sequence — the only observable — is
-// independent of heap internals; the typed implementation exists so pushes
-// do not box each arrival into an interface (the dispatch loop's last
-// steady-state allocation).
-type arrivalQueue []arrival
-
-func (q arrivalQueue) Len() int { return len(q) }
-func (q arrivalQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push adds a onto the heap.
-//lukewarm:hotpath noalloc one push per generated invocation; boxing here was the dispatch loop's last steady-state allocation
-func (q *arrivalQueue) push(a arrival) {
-	*q = append(*q, a) //lukewarm:hotalloc the backing array grows to the in-flight high-water mark once, then is reused
-	h := *q
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum arrival.
-//lukewarm:hotpath noalloc,noescape one pop per dispatched invocation; pure in-place swaps
-func (q *arrivalQueue) pop() arrival {
-	h := *q
-	n := len(h) - 1
-	v := h[0]
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && h.less(r, l) {
-			child = r
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return v
-}
-
-func (q arrivalQueue) Peek() arrival { return q[0] }
 
 // instSched is the per-instance bookkeeping the scheduling policies read.
 type instSched struct {
@@ -982,34 +898,22 @@ func (s *Server) ServeTraffic(cfg TrafficConfig) (TrafficResult, error) {
 		return c
 	}
 
-	var q arrivalQueue
-	seq := 0
+	var q sched.Queue[*Instance]
 	remaining := map[*Instance]int{}
 	for _, inst := range s.instances {
 		remaining[inst] = cfg.InvocationsPerInstance
 		// Phase-shift first arrivals across instances.
 		first := s.Core.Now() + mem.Cycle(rng.Float64()*cfg.MeanIATms*cyclesPerMs)
-		q.push(arrival{at: first, inst: inst, seq: seq})
-		seq++
+		q.Push(first, inst)
 	}
 
-	due := func(coreNow mem.Cycle) int {
-		due := 0
-		for _, p := range q {
-			if p.at <= coreNow {
-				due++
-			}
-		}
-		return due
-	}
 	for q.Len() > 0 {
-		a := q.pop()
-		sim.Dispatch(a.inst, a.at, false, due)
-		remaining[a.inst]--
-		if remaining[a.inst] > 0 {
-			arrivalMs := float64(a.at) / cyclesPerMs
-			q.push(arrival{at: a.at + nextGap(arrivalMs), inst: a.inst, seq: seq})
-			seq++
+		at, inst := q.Pop()
+		sim.Dispatch(inst, at, false, q.Due)
+		remaining[inst]--
+		if remaining[inst] > 0 {
+			arrivalMs := float64(at) / cyclesPerMs
+			q.Push(at+nextGap(arrivalMs), inst)
 		}
 	}
 	return sim.Finish(), nil

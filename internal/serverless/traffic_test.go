@@ -7,6 +7,7 @@ import (
 
 	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/core"
+	"lukewarm/internal/sched"
 	"lukewarm/internal/workload"
 )
 
@@ -135,7 +136,7 @@ func TestKeepAliveColdStarts(t *testing.T) {
 	cfg := smallTraffic()
 	cfg.MeanIATms = 100
 	cfg.Poisson = false
-	cfg.KeepAliveMs = 10 // evict almost immediately
+	cfg.KeepAlive = sched.FixedTimeout(10) // evict almost immediately
 	cfg.InvocationsPerInstance = 4
 	res := mustServe(t, s, cfg)
 	if res.ColdStarts == 0 {
@@ -182,6 +183,9 @@ func TestServeTrafficRejectsBadConfig(t *testing.T) {
 			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 0})
 		},
 		"no instances": func() (TrafficResult, error) { return New(Config{}).ServeTraffic(DefaultTrafficConfig()) },
+		"negative keep-alive": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, KeepAlive: sched.FixedTimeout(-1)})
+		},
 	} {
 		if _, err := run(); err == nil {
 			t.Errorf("%s: expected error", name)
@@ -198,7 +202,7 @@ func TestServeTrafficEdgeCases(t *testing.T) {
 	cfg := DefaultTrafficConfig()
 	cfg.Poisson = false
 	cfg.MeanIATms = 500
-	cfg.KeepAliveMs = 5
+	cfg.KeepAlive = sched.FixedTimeout(5)
 	cfg.InvocationsPerInstance = 4
 	res := mustServe(t, s, cfg)
 	if res.ColdStarts != 3 {
@@ -210,7 +214,7 @@ func TestServeTrafficEdgeCases(t *testing.T) {
 	deploySubset(t, s1, "Auth-G")
 	c1 := DefaultTrafficConfig()
 	c1.InvocationsPerInstance = 1
-	c1.KeepAliveMs = 1
+	c1.KeepAlive = sched.FixedTimeout(1)
 	r1 := mustServe(t, s1, c1)
 	if r1.Served != 1 || r1.ColdStarts != 0 || r1.Shed != 0 {
 		t.Errorf("single budget: served %d, cold %d, shed %d", r1.Served, r1.ColdStarts, r1.Shed)
@@ -268,34 +272,26 @@ func TestServeTrafficShedDeterminism(t *testing.T) {
 }
 
 func TestNoKeepAlive(t *testing.T) {
-	// NoKeepAlive must behave like the deprecated KeepAliveMs=0 sentinel:
-	// instances stay resident across gaps far beyond any provider window.
+	// A nil KeepAlive keeps instances resident across gaps far beyond any
+	// provider window.
 	s := New(Config{})
 	deploySubset(t, s, "Auth-G")
 	cfg := DefaultTrafficConfig()
 	cfg.Poisson = false
 	cfg.MeanIATms = 5000
-	cfg.NoKeepAlive = true
 	cfg.InvocationsPerInstance = 4
 	res := mustServe(t, s, cfg)
 	if res.ColdStarts != 0 {
-		t.Errorf("NoKeepAlive cold-started %d times", res.ColdStarts)
+		t.Errorf("nil KeepAlive cold-started %d times", res.ColdStarts)
 	}
 	if res.ResidentMs <= 0 {
-		t.Error("NoKeepAlive run accounted no resident time")
+		t.Error("nil KeepAlive run accounted no resident time")
 	}
 
-	// Contradicting it with a positive timeout is a configuration error.
-	bad := DefaultTrafficConfig()
-	bad.NoKeepAlive = true
-	bad.KeepAliveMs = 100
-	if err := bad.Validate(); err == nil {
-		t.Error("NoKeepAlive + KeepAliveMs accepted")
-	} else if !errors.Is(err, cfgerr.ErrBadConfig) {
-		t.Errorf("error %v does not wrap ErrBadConfig", err)
-	}
 	if err := (TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, DiurnalPeriodMs: -1}).Validate(); err == nil {
 		t.Error("negative DiurnalPeriodMs accepted")
+	} else if !errors.Is(err, cfgerr.ErrBadConfig) {
+		t.Errorf("error %v does not wrap ErrBadConfig", err)
 	}
 }
 
@@ -305,7 +301,7 @@ func TestPerFunctionBreakdown(t *testing.T) {
 	cfg := smallTraffic()
 	cfg.Poisson = false
 	cfg.MeanIATms = 100
-	cfg.KeepAliveMs = 10
+	cfg.KeepAlive = sched.FixedTimeout(10)
 	cfg.InvocationsPerInstance = 3
 	res := mustServe(t, s, cfg)
 	if len(res.PerFunction) != 2 {

@@ -127,9 +127,9 @@ func (as *AddressSpace) chunkFor(vp uint64, grow bool) *asChunk {
 	if !grow {
 		return nil
 	}
-	//lukewarm:hotalloc one chunk per 2 MB of newly touched address space, amortized over 512 page faults
+	// one chunk per 2 MB of newly touched address space, amortized over 512 page faults
 	c := &asChunk{base: base}
-	//lukewarm:hotalloc the sorted chunk list grows to its high-water mark once per address space
+	// the sorted chunk list grows to its high-water mark once per address space
 	as.chunks = append(as.chunks, nil)
 	copy(as.chunks[lo+1:], as.chunks[lo:])
 	as.chunks[lo] = c
@@ -140,6 +140,7 @@ func (as *AddressSpace) chunkFor(vp uint64, grow bool) *asChunk {
 // Translate maps vaddr to its physical address, demand-allocating a frame on
 // first touch (anonymous mmap semantics: serverless instances are entirely
 // memory-resident, swap is disabled on FaaS hosts).
+//
 //lukewarm:hotpath noalloc,nobce the chunked-frame fast path replaced the flat map in PR 9; every access translates here
 func (as *AddressSpace) Translate(vaddr uint64) uint64 {
 	vp := PageOf(vaddr)
@@ -158,6 +159,7 @@ func (as *AddressSpace) Translate(vaddr uint64) uint64 {
 
 // Lookup is Translate without demand allocation; ok reports whether the page
 // is mapped.
+//
 //lukewarm:hotpath noalloc,nobce the restore engines probe mappings at line rate through this path
 func (as *AddressSpace) Lookup(vaddr uint64) (paddr uint64, ok bool) {
 	vp := PageOf(vaddr)
@@ -284,6 +286,7 @@ func (t *TLB) setBase(vpage uint64) int {
 }
 
 // Access looks up vpage, returning whether it hit, and inserts it on a miss.
+//
 //lukewarm:hotpath noalloc,noescape one TLB lookup per instruction block and per data access
 func (t *TLB) Access(vpage uint64) bool {
 	t.Stats.Accesses++
@@ -313,6 +316,7 @@ func (t *TLB) Access(vpage uint64) bool {
 }
 
 // Probe reports residency without inserting or counting.
+//
 //lukewarm:hotpath noalloc,inline the REAP manifest delta scan probes every recorded page; the loop must inline
 func (t *TLB) Probe(vpage uint64) bool {
 	base := t.setBase(vpage)

@@ -85,6 +85,7 @@ func (w *Walker) Walk(now mem.Cycle, vpage uint64) mem.Cycle {
 // walker's PTE-line cache, counts the walk, and reports whether it is warm or
 // cold. Nothing in it depends on the clock, so the core runs it ahead of
 // execution and charges the walk later with Latency.
+//
 //lukewarm:hotpath noalloc,noescape one walker-cache probe per TLB miss, run ahead of execution
 func (w *Walker) Lookup(vpage uint64) WalkKind {
 	w.Walks++
