@@ -16,10 +16,7 @@
 //     hit, and physical addressing breaks under OS page migration.
 package baselines
 
-import (
-	"lukewarm/internal/cfgerr"
-	"lukewarm/internal/mem"
-)
+import "lukewarm/internal/mem"
 
 // NextLineI is a sequential next-line instruction prefetcher: on every
 // demand fetch of block B it stages B+1 in the instruction prefetch buffer.
@@ -71,31 +68,6 @@ func (n *NextLineI) OnFetch(now mem.Cycle, _, paddr uint64, _ mem.Result) {
 // OnBlockRetire implements cpu.InstrPrefetcher (unused).
 func (n *NextLineI) OnBlockRetire(mem.Cycle, uint64, uint64) {}
 
-// RecapConfig parameterizes the context-restoration baseline.
-type RecapConfig struct {
-	// MaxBlocks caps the saved footprint (prior works store the footprint
-	// of the entire partition; 0 = unlimited). Each saved block costs
-	// ~4 bytes of metadata in the published schemes.
-	MaxBlocks int
-	// RestoreRate is the issue spacing of restoration prefetches in cycles
-	// per block at the LLC fill port (DRAM bandwidth still applies on top).
-	RestoreRate mem.Cycle
-}
-
-// DefaultRecapConfig returns an unlimited-footprint configuration with a
-// one-block-per-cycle fill port.
-func DefaultRecapConfig() RecapConfig { return RecapConfig{RestoreRate: 1} }
-
-// Validate reports whether the configuration is realizable: no negative
-// footprint cap (zero means unlimited; a non-positive restore rate selects
-// the default fill port). Errors wrap cfgerr.ErrBadConfig.
-func (c RecapConfig) Validate() error {
-	if c.MaxBlocks < 0 {
-		return cfgerr.New("recap: negative footprint cap %d", c.MaxBlocks)
-	}
-	return nil
-}
-
 // RecapStats counts save/restore activity.
 type RecapStats struct {
 	// SavedBlocks counts footprint entries written at context-switch-out.
@@ -111,25 +83,18 @@ type RecapStats struct {
 }
 
 // Recap is the per-instance context-restoration state: the physical block
-// addresses of the LLC footprint saved at the last deschedule.
+// addresses of the LLC footprint saved at the last deschedule. The saved
+// footprint is the whole LLC-resident set, as prior works store the
+// footprint of the entire partition, and restoration issues one block per
+// cycle at the LLC fill port (DRAM bandwidth still applies on top).
 type Recap struct {
-	cfg     RecapConfig
-	hier    *mem.Hierarchy
-	saved   []uint64
-	scratch []uint64
-	Stats   RecapStats
+	hier  *mem.Hierarchy
+	saved []uint64
+	Stats RecapStats
 }
 
 // NewRecap builds the baseline attached to hier.
-func NewRecap(cfg RecapConfig, hier *mem.Hierarchy) *Recap {
-	if err := cfg.Validate(); err != nil {
-		panic("baselines: " + err.Error()) // configs are design-time constants
-	}
-	if cfg.RestoreRate <= 0 {
-		cfg.RestoreRate = 1
-	}
-	return &Recap{cfg: cfg, hier: hier}
-}
+func NewRecap(hier *mem.Hierarchy) *Recap { return &Recap{hier: hier} }
 
 // SavedBlocks reports the current footprint size in blocks.
 func (r *Recap) SavedBlocks() int { return len(r.saved) }
@@ -142,18 +107,14 @@ func (r *Recap) InvocationStart(now mem.Cycle) {
 	for _, blk := range r.saved {
 		r.hier.PrefetchIntoLLC(cursor, blk, mem.TrafficPrefetch)
 		r.Stats.RestoredBlocks++
-		cursor += r.cfg.RestoreRate
+		cursor++
 	}
 }
 
 // InvocationEnd snapshots the LLC-resident footprint (the context-switch-out
 // save). The save costs metadata-write memory traffic.
 func (r *Recap) InvocationEnd(now mem.Cycle) {
-	r.scratch = r.hier.LLC.ResidentBlocks(r.scratch[:0])
-	if r.cfg.MaxBlocks > 0 && len(r.scratch) > r.cfg.MaxBlocks {
-		r.scratch = r.scratch[:r.cfg.MaxBlocks]
-	}
-	r.saved = append(r.saved[:0], r.scratch...)
+	r.saved = r.hier.LLC.ResidentBlocks(r.saved[:0])
 	r.Stats.SavedBlocks += uint64(len(r.saved))
 	r.Stats.LastMetadataBytes = 4 * len(r.saved)
 	r.hier.DRAM.AccessBytes(now, mem.TrafficMetadataRecord, r.Stats.LastMetadataBytes)

@@ -106,7 +106,7 @@ func TestNextLineWellBelowJukeboxStyleCoverage(t *testing.T) {
 
 func TestRecapSavesAndRestores(t *testing.T) {
 	c := newCore(nil)
-	rc := NewRecap(DefaultRecapConfig(), c.Hier)
+	rc := NewRecap(c.Hier)
 	c.Prefetcher = rc
 	p := testProgram()
 	lukewarmRun(c, p, 1)
@@ -129,7 +129,7 @@ func TestRecapSpeedsUpButTrailsOnLatency(t *testing.T) {
 	p := testProgram()
 	base := lukewarmRun(newCore(nil), p, 3)
 	c := newCore(nil)
-	rc := NewRecap(DefaultRecapConfig(), c.Hier)
+	rc := NewRecap(c.Hier)
 	c.Prefetcher = rc
 	res := lukewarmRun(c, p, 3)
 	speedup := float64(base.Cycles)/float64(res.Cycles) - 1
@@ -145,7 +145,7 @@ func TestRecapSpeedsUpButTrailsOnLatency(t *testing.T) {
 func TestRecapBandwidthFarExceedsJukebox(t *testing.T) {
 	p := testProgram()
 	c := newCore(nil)
-	rc := NewRecap(DefaultRecapConfig(), c.Hier)
+	rc := NewRecap(c.Hier)
 	c.Prefetcher = rc
 	c.Hier.ResetStats()
 	lukewarmRun(c, p, 2)
@@ -158,21 +158,10 @@ func TestRecapBandwidthFarExceedsJukebox(t *testing.T) {
 	}
 }
 
-func TestRecapMaxBlocksCap(t *testing.T) {
-	c := newCore(nil)
-	rc := NewRecap(RecapConfig{MaxBlocks: 100, RestoreRate: 1}, c.Hier)
-	c.Prefetcher = rc
-	p := testProgram()
-	lukewarmRun(c, p, 1)
-	if rc.SavedBlocks() > 100 {
-		t.Errorf("cap ignored: %d blocks saved", rc.SavedBlocks())
-	}
-}
-
 func TestRecapPhysicalAddressesBreakOnCompaction(t *testing.T) {
 	p := testProgram()
 	c := newCore(nil)
-	rc := NewRecap(DefaultRecapConfig(), c.Hier)
+	rc := NewRecap(c.Hier)
 	c.Prefetcher = rc
 	lukewarmRun(c, p, 1) // save a footprint
 	// Migrate every page; saved physical addresses are now stale.
@@ -190,7 +179,7 @@ func TestRecapPhysicalAddressesBreakOnCompaction(t *testing.T) {
 
 func TestRecapResetStats(t *testing.T) {
 	c := newCore(nil)
-	rc := NewRecap(DefaultRecapConfig(), c.Hier)
+	rc := NewRecap(c.Hier)
 	c.Prefetcher = rc
 	lukewarmRun(c, testProgram(), 1)
 	rc.ResetStats()

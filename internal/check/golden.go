@@ -5,22 +5,18 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"lukewarm/internal/stats"
 )
 
-// GoldenTable is the serialized snapshot of one experiment table: the
-// rendered cells plus the tolerance band future runs are held to. Numeric
-// cells are compared within TolPct percent (relative, with a small absolute
-// floor); non-numeric cells must match exactly.
+// GoldenTable is the serialized snapshot of one experiment table: its
+// rendered cells. The simulator is bit-deterministic, so future runs must
+// reproduce every cell exactly.
 type GoldenTable struct {
 	Title  string     `json:"title"`
-	TolPct float64    `json:"tol_pct"`
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
 }
@@ -44,40 +40,13 @@ func tableCells(t *stats.Table) ([]string, [][]string, error) {
 	return all[0], all[1:], nil
 }
 
-// Snapshot captures t as a golden table with the given tolerance.
-func Snapshot(t *stats.Table, tolPct float64) (GoldenTable, error) {
+// Snapshot captures t as a golden table.
+func Snapshot(t *stats.Table) (GoldenTable, error) {
 	header, rows, err := tableCells(t)
 	if err != nil {
 		return GoldenTable{}, err
 	}
-	return GoldenTable{Title: t.Title, TolPct: tolPct, Header: header, Rows: rows}, nil
-}
-
-// numericCell parses a cell as a number, accepting the unit suffixes the
-// tables use ("1.53x" speedups, "12.3%" shares).
-func numericCell(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	s = strings.TrimSuffix(strings.TrimSuffix(s, "%"), "x")
-	if s == "" {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil
-}
-
-// cellsMatch compares one golden cell against the current run's cell under
-// the table's tolerance.
-func (g GoldenTable) cellsMatch(want, got string) bool {
-	if want == got {
-		return true
-	}
-	wv, wok := numericCell(want)
-	gv, gok := numericCell(got)
-	if !wok || !gok {
-		return false
-	}
-	scale := math.Max(math.Abs(wv), math.Abs(gv))
-	return math.Abs(wv-gv) <= g.TolPct/100*scale+1e-9
+	return GoldenTable{Title: t.Title, Header: header, Rows: rows}, nil
 }
 
 // Compare checks the current rendering of t against the golden snapshot and
@@ -102,9 +71,9 @@ func (g GoldenTable) Compare(t *stats.Table) error {
 			return fmt.Errorf("row %d: %d cells, golden has %d", i, len(got), len(want))
 		}
 		for j := range want {
-			if !g.cellsMatch(want[j], got[j]) {
-				return fmt.Errorf("row %d (%s), column %q: got %q, golden has %q (tolerance %.2f%%)",
-					i, strings.Join(got, " | "), g.Header[j], got[j], want[j], g.TolPct)
+			if got[j] != want[j] {
+				return fmt.Errorf("row %d (%s), column %q: got %q, golden has %q",
+					i, strings.Join(got, " | "), g.Header[j], got[j], want[j])
 			}
 		}
 	}

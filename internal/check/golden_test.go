@@ -34,11 +34,7 @@ func goldenOpts(eng *runner.Engine) experiments.Options {
 
 // goldenCase is one experiment of the regression harness.
 type goldenCase struct {
-	name string
-	// tolPct is the per-cell tolerance band. The simulator is deterministic,
-	// so snapshots reproduce exactly today; the band states how much model
-	// drift a future change may introduce without refreshing the snapshot.
-	tolPct float64
+	name   string
 	tables func(opt experiments.Options) ([]*stats.Table, error)
 }
 
@@ -47,86 +43,84 @@ func one(t *stats.Table, err error) ([]*stats.Table, error) { return []*stats.Ta
 // goldenCases enumerates every experiment's canonical tables.
 func goldenCases() []goldenCase {
 	return []goldenCase{
-		{"fig1", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"fig1", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Fig1(o)
 			return one(r.Table(), err)
 		}},
-		{"characterization", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"characterization", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Characterize(o)
 			return []*stats.Table{r.Fig2Table(), r.Fig3Table(), r.Fig4Table(),
 				r.Fig5aTable(), r.Fig5bTable()}, err
 		}},
-		{"footprints", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"footprints", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Footprints(o, 5)
 			return []*stats.Table{r.Fig6aTable(), r.Fig6bTable()}, err
 		}},
-		{"fig8", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"fig8", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Fig8(o, 16)
 			return one(r.Table(), err)
 		}},
-		{"fig9", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"fig9", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Fig9(o)
 			return one(r.Table(), err)
 		}},
-		{"performance", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"performance", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Performance(o, cpu.SkylakeConfig(), core.DefaultConfig())
 			return []*stats.Table{r.Fig10Table(), r.Fig11Table(), r.Fig12Table()}, err
 		}},
-		{"fig13", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"fig13", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Fig13(o)
 			return one(r.Table(), err)
 		}},
-		{"table3", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"table3", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Table3(o)
 			return one(r.Table(), err)
 		}},
-		{"crrb-ablation", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"crrb-ablation", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.CRRBAblation(o)
 			return one(r.Table(), err)
 		}},
-		{"compaction", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"compaction", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Compaction(o)
 			return one(r.Table(), err)
 		}},
-		{"snapshot", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"snapshot", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Snapshot(o)
 			return one(r.Table(), err)
 		}},
-		{"dynamic-metadata", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"dynamic-metadata", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.DynamicMetadata(o)
 			return one(r.Table(), err)
 		}},
-		{"baselines", 0.5, func(o experiments.Options) ([]*stats.Table, error) {
+		{"baselines", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Baselines(o)
 			return one(r.Table(), err)
 		}},
-		// Traffic-level experiments aggregate queueing and placement effects;
-		// give them a slightly wider band than the per-instance figures.
-		{"server-sim", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"server-sim", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.ServerSim(o)
 			return one(r.Table(), err)
 		}},
-		{"scaling", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"scaling", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Scaling(o)
 			return one(r.Table(), err)
 		}},
-		{"sched", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"sched", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Sched(o)
 			return []*stats.Table{r.Table(), r.KeepAliveTable(), r.PerFuncTable()}, err
 		}},
-		{"chaos", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"chaos", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Chaos(o, 42)
 			return one(r.Table(), err)
 		}},
-		{"cluster", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"cluster", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Cluster(o)
 			return []*stats.Table{r.Table(), r.LatencyTable()}, err
 		}},
-		{"coldstart", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"coldstart", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Coldstart(o)
 			return []*stats.Table{r.Table(), r.CrossoverTable(), r.StalenessTable()}, err
 		}},
-		{"prewarm", 1.0, func(o experiments.Options) ([]*stats.Table, error) {
+		{"prewarm", func(o experiments.Options) ([]*stats.Table, error) {
 			r, err := experiments.Prewarm(o)
 			return one(r.Table(), err)
 		}},
@@ -156,7 +150,7 @@ func TestGoldenExperiments(t *testing.T) {
 				}
 				seen[path] = gc.name
 				if *update {
-					g, err := Snapshot(tb, gc.tolPct)
+					g, err := Snapshot(tb)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -178,39 +172,28 @@ func TestGoldenExperiments(t *testing.T) {
 	}
 }
 
-// TestGoldenCompare unit-tests the tolerance machinery itself on synthetic
-// tables, independent of the experiment snapshots.
+// TestGoldenCompare unit-tests the comparison itself on synthetic tables,
+// independent of the experiment snapshots: every cell must match exactly.
 func TestGoldenCompare(t *testing.T) {
 	mk := func(cpi string) *stats.Table {
 		tb := stats.NewTable("Synthetic: compare", "func", "cpi", "speedup", "share")
 		tb.AddRow("Auth-G", cpi, "1.53x", "12.3%")
 		return tb
 	}
-	g, err := Snapshot(mk("2.00"), 1.0)
+	g, err := Snapshot(mk("2.00"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Compare(mk("2.01")); err != nil {
-		t.Fatalf("0.5%% drift rejected under 1%% tolerance: %v", err)
+	if err := g.Compare(mk("2.00")); err != nil {
+		t.Fatalf("identical table rejected: %v", err)
 	}
-	if err := g.Compare(mk("2.10")); err == nil {
-		t.Fatal("5% drift accepted under 1% tolerance")
+	if err := g.Compare(mk("2.01")); err == nil {
+		t.Fatal("0.5% drift accepted")
 	}
 	bad := mk("2.00")
 	bad.AddRow("Email-P", "1.00", "1.00x", "0.0%")
 	if err := g.Compare(bad); err == nil {
 		t.Fatal("extra row accepted")
-	}
-
-	// Unit suffixes parse; non-numeric cells require exact equality.
-	if v, ok := numericCell("1.53x"); !ok || v != 1.53 {
-		t.Fatalf("numericCell(1.53x) = %v, %v", v, ok)
-	}
-	if v, ok := numericCell("12.3%"); !ok || v != 12.3 {
-		t.Fatalf("numericCell(12.3%%) = %v, %v", v, ok)
-	}
-	if _, ok := numericCell("Auth-G"); ok {
-		t.Fatal("numericCell accepted a function name")
 	}
 	if fmt.Sprint(g.Header) != "[func cpi speedup share]" {
 		t.Fatalf("header round-trip: %v", g.Header)

@@ -30,7 +30,6 @@ import (
 	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/faults"
 	"lukewarm/internal/mem"
-	"lukewarm/internal/predict"
 	"lukewarm/internal/program"
 	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
@@ -118,22 +117,6 @@ type Config struct {
 	// NodeDownMs is how long a crashed node stays dark. Required positive
 	// when node crashes are enabled.
 	NodeDownMs float64
-	// ShipManifests keeps each instance's REAP manifest across node
-	// crashes — the record file is shipped to durable storage with the
-	// snapshot — so rescheduled instances restore their working set
-	// instead of demand-faulting everything. No effect unless Node.Reap
-	// is configured.
-	ShipManifests bool
-
-	// PrewarmBudget caps predictive pre-warms fleet-wide (0 = unlimited)
-	// and PrewarmRefractoryMs is the minimum spacing between granted
-	// pre-warms of the same function anywhere in the fleet (0 = none):
-	// hedged or retried traffic judged on two nodes must not pre-warm (and
-	// charge) the same arrival twice. Both require Traffic.Predict armed;
-	// when either is set and Traffic.Predict.Budget is nil, Run installs a
-	// shared predict.Budget across every node's simulation.
-	PrewarmBudget       int
-	PrewarmRefractoryMs float64
 }
 
 // Validate reports whether the fleet configuration is runnable. Errors wrap
@@ -177,13 +160,6 @@ func (c Config) Validate() error {
 		return cfgerr.New("cluster: NodeCrashMTBFms %g needs a positive NodeDownMs, got %g", c.NodeCrashMTBFms, c.NodeDownMs)
 	case c.Faults == nil && (c.InstanceCrashProb > 0 || c.DispatchFlakeProb > 0 || c.NodeCrashMTBFms > 0):
 		return cfgerr.New("cluster: fault probabilities set but no fault plan armed")
-	case c.PrewarmBudget < 0:
-		return cfgerr.New("cluster: negative PrewarmBudget %d", c.PrewarmBudget)
-	case c.PrewarmRefractoryMs < 0:
-		return cfgerr.New("cluster: negative PrewarmRefractoryMs %g", c.PrewarmRefractoryMs)
-	case (c.PrewarmBudget > 0 || c.PrewarmRefractoryMs > 0) && c.Traffic.Predict == nil:
-		return cfgerr.New("cluster: pre-warm budget set (%d, %g ms) but Traffic.Predict is not armed",
-			c.PrewarmBudget, c.PrewarmRefractoryMs)
 	}
 	if err := c.Traffic.Validate(); err != nil {
 		return err
@@ -320,16 +296,6 @@ func newRun(cfg Config) (*run, error) {
 	for _, fn := range cfg.LowPriority {
 		r.lowPri[fn] = true
 	}
-	// Arm the shared fleet pre-warm budget: every node's sim judges against
-	// the same allowance, so a function hedged across two nodes pre-warms
-	// on at most one of them. The caller's Config is copied, not mutated.
-	if cfg.Traffic.Predict != nil && cfg.Traffic.Predict.Budget == nil &&
-		(cfg.PrewarmBudget > 0 || cfg.PrewarmRefractoryMs > 0) {
-		pc := *cfg.Traffic.Predict
-		pc.Budget = predict.NewBudget(cfg.PrewarmBudget, cfg.PrewarmRefractoryMs)
-		cfg.Traffic.Predict = &pc
-		r.cfg.Traffic.Predict = &pc
-	}
 	// Build the fleet: identical nodes, every workload on every node.
 	for n := 0; n < cfg.Nodes; n++ {
 		srv, err := serverless.NewErr(cfg.Node)
@@ -419,20 +385,12 @@ func (r *run) accountTier(at mem.Cycle) {
 
 // crashNode takes a whole node down: every resident instance loses its warm
 // state and Jukebox metadata, the node leaves rotation for NodeDownMs, and
-// the next crash is scheduled after recovery. With ShipManifests, REAP
-// record files survive the crash and the restarted instances restore from
-// them instead of going fully cold.
+// the next crash is scheduled after recovery. REAP record files are lost
+// with the node.
 func (r *run) crashNode(e event) {
 	nd := r.nodes[e.node]
 	nd.downUntil = e.at + mem.Cycle(r.cfg.NodeDownMs*r.cyclesPerMs)
 	for _, inst := range nd.insts {
-		if r.cfg.ShipManifests && inst.Reap != nil {
-			nd.sim.MarkCrashedShipped(inst)
-			if inst.Reap.ManifestView().Pages() > 0 {
-				r.res.ManifestRestores++
-			}
-			continue
-		}
 		nd.sim.MarkCrashed(inst)
 	}
 	nd.srv.FlushMicroarch()

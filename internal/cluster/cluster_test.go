@@ -277,10 +277,11 @@ func prewarmNode() serverless.Config {
 
 // TestFleetPrewarmBudgetLimitsDoublePrewarm checks the fleet-level
 // allowance: with hedging enabled the same function is judged on two nodes
-// around the same arrival, and the shared budget's refractory window must
-// stop the second node from pre-warming (and charging) what the first
-// already did. An uncapped fleet schedules freely; a capped one records
-// denials and stays within its total.
+// around the same arrival, and the budget's refractory window must stop the
+// second node from pre-warming (and charging) what the first already did.
+// Every node's sim receives the same Traffic.Predict, so the two nodes share
+// one Budget: an uncapped fleet schedules freely, and a capped one records
+// denials and stays within its total fleet-wide.
 func TestFleetPrewarmBudgetLimitsDoublePrewarm(t *testing.T) {
 	base := func() Config {
 		return Config{
@@ -302,31 +303,20 @@ func TestFleetPrewarmBudgetLimitsDoublePrewarm(t *testing.T) {
 	}
 
 	cfg := base()
-	cfg.PrewarmBudget = unlimited.Scheduled / 2
-	cfg.PrewarmRefractoryMs = 1
+	total := unlimited.Scheduled / 2
+	cfg.Traffic.Predict.Budget = predict.NewBudget(total, 1)
 	capped, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := capped.PrewarmLedger()
-	if l.Scheduled > cfg.PrewarmBudget {
-		t.Errorf("budget %d exceeded: %d scheduled", cfg.PrewarmBudget, l.Scheduled)
+	if l.Scheduled > total {
+		t.Errorf("budget %d exceeded fleet-wide: %d scheduled", total, l.Scheduled)
 	}
 	if l.BudgetDenied == 0 {
 		t.Errorf("capped fleet recorded no budget denials: %+v", l)
 	}
 	if err := Audit(&capped); err != nil {
 		t.Errorf("audit: %v", err)
-	}
-}
-
-// TestFleetPrewarmBudgetRequiresPredict pins the validation coupling: a
-// budget without an armed forecaster is a configuration error, not a silent
-// no-op.
-func TestFleetPrewarmBudgetRequiresPredict(t *testing.T) {
-	cfg := Config{Nodes: 1, Workloads: testWorkloads(t, "Auth-G"),
-		Traffic: smallTraffic(), PrewarmBudget: 4}
-	if _, err := Run(cfg); !errors.Is(err, cfgerr.ErrBadConfig) {
-		t.Errorf("error = %v, want ErrBadConfig", err)
 	}
 }

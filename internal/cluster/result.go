@@ -51,10 +51,6 @@ type Result struct {
 	// faults; Ejections and Readmissions count health-checker actions.
 	DispatchFlakes, InstanceCrashes, NodeCrashes int
 	Ejections, Readmissions                      int
-	// ManifestRestores counts crashed instances whose shipped REAP
-	// manifest survived (Config.ShipManifests), so their restart restored
-	// the working set instead of demand-faulting it.
-	ManifestRestores int
 	// ServedWhileDown counts completions attributed to a node that was down
 	// or ejected at dispatch — a tripwire that must stay zero.
 	ServedWhileDown int
@@ -224,9 +220,9 @@ func (r *Result) String() string {
 	fmt.Fprintf(&b, "  resilience: %d retries, %d exhausted, %d deadline-failed, %d failed attempts; %d hedges (%d wasted costing %.0f cycles, %d rescues)\n",
 		r.Retries, r.RetriesExhausted, r.DeadlineFailed, r.FailedAttempts,
 		r.Hedges, r.WastedHedges, r.WastedHedgeCycles, r.HedgeRescues)
-	fmt.Fprintf(&b, "  faults: %d node crashes, %d instance crashes, %d dispatch flakes (%d injections total); health: %d ejections, %d readmissions, %d served-while-down; %d manifest restores\n",
+	fmt.Fprintf(&b, "  faults: %d node crashes, %d instance crashes, %d dispatch flakes (%d injections total); health: %d ejections, %d readmissions, %d served-while-down\n",
 		r.NodeCrashes, r.InstanceCrashes, r.DispatchFlakes, r.Injections,
-		r.Ejections, r.Readmissions, r.ServedWhileDown, r.ManifestRestores)
+		r.Ejections, r.Readmissions, r.ServedWhileDown)
 	fmt.Fprintf(&b, "  brownout: %d low-priority shed, %d rejected; %d tier shifts; time in tier", r.ShedLowPriority, r.TierRejected, r.TierShifts)
 	for i, ms := range r.TimeInTierMs {
 		fmt.Fprintf(&b, " %s=%.0fms", TierNames[i], ms)
@@ -241,24 +237,6 @@ func (r *Result) String() string {
 		fmt.Fprintf(&b, "  node %d: %s\n", i, r.PerNode[i].String())
 	}
 	return b.String()
-}
-
-// CSVHeader is the column layout of CSV rows.
-const CSVHeader = "nodes,offered,served,shed,failed,availability_pct,cold,lukewarm,warm," +
-	"cold_cpi,lukewarm_cpi,warm_cpi,p50_lat_cyc,p99_lat_cyc,retries,hedges,wasted_hedges," +
-	"node_crashes,instance_crashes,dispatch_flakes,ejections,manifest_restores,time_degraded_ms"
-
-// CSV renders the fleet result as one comma-separated row (CSVHeader order).
-func (r *Result) CSV() string {
-	degraded := r.TimeInTierMs[1] + r.TimeInTierMs[2] + r.TimeInTierMs[3]
-	return fmt.Sprintf("%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%.4f,%.4f,%.4f,%.0f,%.0f,%d,%d,%d,%d,%d,%d,%d,%d,%.1f",
-		r.Nodes, r.Offered, r.Served, r.Shed, r.Failed, r.Availability()*100,
-		r.ColdServed, r.LukewarmServed, r.WarmServed,
-		r.ColdCPI.Mean(), r.LukewarmCPI.Mean(), r.WarmCPI.Mean(),
-		r.P50LatencyCycles(), r.P99LatencyCycles(),
-		r.Retries, r.Hedges, r.WastedHedges,
-		r.NodeCrashes, r.InstanceCrashes, r.DispatchFlakes, r.Ejections,
-		r.ManifestRestores, degraded)
 }
 
 // AvailabilityPct mirrors Result.Availability as a percentage.

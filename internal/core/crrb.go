@@ -53,9 +53,6 @@ func NewCRRB(n int) *CRRB {
 	return &CRRB{entries: make([]Entry, n), valid: make([]bool, n)}
 }
 
-// Capacity reports the configured entry count.
-func (c *CRRB) Capacity() int { return len(c.entries) }
-
 // Len reports the current occupancy.
 func (c *CRRB) Len() int { return c.count }
 

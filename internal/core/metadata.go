@@ -100,9 +100,6 @@ func (b *MetadataBuffer) Seal() {
 	b.sealed = true
 }
 
-// Sealed reports whether the buffer carries a seal.
-func (b *MetadataBuffer) Sealed() bool { return b.sealed }
-
 // SealedEntryBits reports the entry geometry recorded at seal time (0 if
 // unsealed). A mismatch against the consumer's configured geometry means the
 // metadata was produced by a differently-configured Jukebox.

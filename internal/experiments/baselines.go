@@ -57,7 +57,7 @@ func execBaseline(c runner.Cell) (runner.Measurement, error) {
 		return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
 	case "RECAP":
 		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		rc := baselines.NewRecap(baselines.DefaultRecapConfig(), srv.Core.Hier)
+		rc := baselines.NewRecap(srv.Core.Hier)
 		srv.AttachCorePrefetcher(rc)
 		inst := srv.Deploy(w)
 		m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)

@@ -181,6 +181,3 @@ func (d *DRAM) InjectDisturbance(extra Cycle, mult int, n uint64) {
 	d.distMult = mult
 	d.distLeft = n
 }
-
-// DisturbanceRemaining reports how many disturbed accesses are still armed.
-func (d *DRAM) DisturbanceRemaining() uint64 { return d.distLeft }

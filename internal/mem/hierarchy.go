@@ -116,16 +116,6 @@ func NewSharedHierarchy(cfg HierarchyConfig, llc *Cache, dram *DRAM) *Hierarchy 
 	}
 }
 
-// FlushPrivate invalidates only the core-private levels (L1s, L2, prefetch
-// buffer), leaving the shared LLC to the server-level policy.
-func (h *Hierarchy) FlushPrivate() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.FlushPrefetchBuffer()
-	h.lastDataBlock = 0
-}
-
 // Config returns the hierarchy configuration in effect.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 

@@ -37,7 +37,7 @@ type Prediction struct {
 	// arrival, in milliseconds.
 	IATms float64
 	// Confidence grades the prediction in [0, 1]; the Prewarmer only
-	// schedules a pre-warm when it reaches Config.MinConfidence.
+	// schedules a pre-warm when it reaches 0.05.
 	Confidence float64
 }
 

@@ -163,7 +163,7 @@ func TestPrewarmerVerdictPartition(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f.Observe("f", 100)
 	}
-	cfg := &Config{Forecaster: f, LeadMs: 10, FreshnessMs: 20}
+	cfg := &Config{Forecaster: f, LeadMs: 10}
 	p := NewPrewarmer(cfg)
 	charge := Charge{Bytes: 4096, BusyMs: 0.5}
 	// Fire point is ~90 ms. Early (50 ms) → partial; on time (100 ms) →
@@ -283,9 +283,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (&Config{Forecaster: Oracle(), LeadMs: -1}).Validate(); err == nil {
 		t.Error("negative lead accepted")
-	}
-	if err := (&Config{Forecaster: Oracle(), MinConfidence: 2}).Validate(); err == nil {
-		t.Error("unreachable confidence gate accepted")
 	}
 	if err := (&Config{Forecaster: Oracle()}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)

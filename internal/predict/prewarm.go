@@ -30,6 +30,10 @@ func (m Mech) String() string {
 // milliseconds before the predicted arrival.
 const DefaultLeadMs = 4
 
+// minConfidence gates scheduling: predictions below it are observed but
+// never acted on.
+const minConfidence = 0.05
+
 // Config arms a traffic simulation with predictive pre-warming.
 type Config struct {
 	// Forecaster predicts each function's next arrival. Required.
@@ -39,16 +43,6 @@ type Config struct {
 	// small enough that ambient interleaving has not re-thrashed the
 	// installed state. Zero selects DefaultLeadMs.
 	LeadMs float64
-	// FreshnessMs bounds how stale a fired pre-warm may be and still count
-	// as used: an arrival later than LeadMs+FreshnessMs past the pre-warm
-	// point finds the warmth decayed and pays a full dispatch replay (the
-	// pre-warm is charged as wasted). Zero selects 2*LeadMs, making the
-	// used window symmetric around the predicted arrival.
-	FreshnessMs float64
-	// MinConfidence gates scheduling: predictions below it are observed but
-	// never acted on. Zero selects 0.05; set negative to act on every
-	// prediction.
-	MinConfidence float64
 	// MechFor selects the mechanism pre-warmed per function; nil selects
 	// MechAuto for every function.
 	MechFor func(fn string) Mech
@@ -69,10 +63,6 @@ func (c *Config) Validate() error {
 		return cfgerr.New("predict: Config.Forecaster is required")
 	case c.LeadMs < 0:
 		return cfgerr.New("predict: negative LeadMs %g", c.LeadMs)
-	case c.FreshnessMs < 0:
-		return cfgerr.New("predict: negative FreshnessMs %g", c.FreshnessMs)
-	case c.MinConfidence > 1:
-		return cfgerr.New("predict: MinConfidence %g above 1 can never schedule", c.MinConfidence)
 	}
 	return nil
 }
@@ -85,24 +75,12 @@ func (c *Config) leadMs() float64 {
 	return DefaultLeadMs
 }
 
-// freshnessMs resolves the effective staleness bound.
-func (c *Config) freshnessMs() float64 {
-	if c.FreshnessMs > 0 {
-		return c.FreshnessMs
-	}
-	return 2 * c.leadMs()
-}
-
-// minConfidence resolves the scheduling gate.
-func (c *Config) minConfidence() float64 {
-	if c.MinConfidence > 0 {
-		return c.MinConfidence
-	}
-	if c.MinConfidence < 0 {
-		return 0
-	}
-	return 0.05
-}
+// freshnessMs bounds how stale a fired pre-warm may be and still count as
+// used: an arrival later than lead+freshness past the pre-warm point finds
+// the warmth decayed and pays a full dispatch replay (the pre-warm is
+// charged as wasted). Twice the lead makes the used window symmetric around
+// the predicted arrival.
+func (c *Config) freshnessMs() float64 { return 2 * c.leadMs() }
 
 // Mech resolves the mechanism choice for fn.
 func (c *Config) Mech(fn string) Mech {
@@ -287,7 +265,7 @@ func (p *Prewarmer) Judge(fn string, idleMs, atMs float64, armed bool, charge Ch
 	}
 	p.Ledger.Judged++
 	p.Ledger.AbsErrMsSum += out.AbsErrMs
-	if !armed || pred.Confidence < p.cfg.minConfidence() {
+	if !armed || pred.Confidence < minConfidence {
 		return out
 	}
 	fire := pred.IATms - p.cfg.leadMs()
@@ -348,7 +326,7 @@ func (p *Prewarmer) CommitUsed(ran bool, bytes uint64, busyMs float64) {
 // schedule left to peek it predicts nothing.
 func (p *Prewarmer) Expire(fn string, lastDoneMs float64, armed bool, charge Charge) {
 	pred, ok := p.cfg.Forecaster.Predict(fn)
-	if !ok || !armed || pred.Confidence < p.cfg.minConfidence() {
+	if !ok || !armed || pred.Confidence < minConfidence {
 		return
 	}
 	fire := pred.IATms - p.cfg.leadMs()

@@ -53,21 +53,11 @@ type Config struct {
 	// (page number plus kind/order metadata), metering the metadata
 	// stream's DRAM traffic.
 	EntryBytes int
-	// Record captures the working set each invocation and reseals the
-	// manifest at invocation end.
-	Record bool
-	// Restore replays the sealed manifest at invocation start.
-	Restore bool
-	// Cumulative unions each invocation's working set into the sealed
-	// manifest instead of replacing it — REAP's record-since-snapshot
-	// behavior. The manifest then only grows, and the wasted-prefetch
-	// fraction grows with its age as dead data generations accumulate.
-	Cumulative bool
 }
 
 // DefaultConfig is the REAP configuration used by the coldstart comparator.
 func DefaultConfig() Config {
-	return Config{MaxPages: 8192, EntryBytes: 8, Record: true, Restore: true}
+	return Config{MaxPages: 8192, EntryBytes: 8}
 }
 
 // Validate reports whether the configuration is realizable. Errors wrap
@@ -173,8 +163,7 @@ type Reap struct {
 
 	Stats Stats
 
-	record  bool
-	restore bool
+	record bool
 
 	// Per-invocation recording state: seen dedupes first touches, rec
 	// accumulates them in touch order.
@@ -212,8 +201,7 @@ func New(cfg Config, hier *mem.Hierarchy, mmu *vm.MMU) *Reap {
 		cfg:      cfg,
 		hier:     hier,
 		mmu:      mmu,
-		record:   cfg.Record,
-		restore:  cfg.Restore,
+		record:   true,
 		restored: make(map[uint64]mem.Cycle),
 	}
 	r.seen.init(minPageSlots)
@@ -229,13 +217,7 @@ func (r *Reap) Bind(hier *mem.Hierarchy, mmu *vm.MMU) {
 
 // SetRecordEnabled toggles working-set recording; disabling it freezes the
 // sealed manifest so later invocations restore from an aging record file.
-func (r *Reap) SetRecordEnabled(on bool) { r.record = on && r.cfg.Record }
-
-// SetRestoreEnabled toggles restore-at-start (record-only mode when off).
-func (r *Reap) SetRestoreEnabled(on bool) { r.restore = on && r.cfg.Restore }
-
-// RestoreEnabled reports whether restore-at-start is currently enabled.
-func (r *Reap) RestoreEnabled() bool { return r.restore }
+func (r *Reap) SetRecordEnabled(on bool) { r.record = on }
 
 // Manifest exposes the sealed manifest (read-only; callers must not
 // mutate).
@@ -282,7 +264,7 @@ func (r *Reap) BeginPrewarm(now mem.Cycle) bool {
 // restoreNow is the restore engine shared by InvocationStart and
 // BeginPrewarm.
 func (r *Reap) restoreNow(now mem.Cycle) {
-	if !r.restore || len(r.sealed.Entries) == 0 {
+	if len(r.sealed.Entries) == 0 {
 		return
 	}
 	r.restoreRan = true
@@ -416,33 +398,7 @@ func (r *Reap) note(now mem.Cycle, vaddr uint64, k mem.Kind) {
 // seal turns the invocation's recording into the new manifest and charges
 // the record-file write-out as metadata-record traffic.
 func (r *Reap) seal(now mem.Cycle) {
-	merged := r.rec
-	if r.cfg.Cumulative && len(r.sealed.Entries) > 0 {
-		// Union: this invocation's pages first (freshest replay order),
-		// then surviving stale pages from the old manifest.
-		merged = append([]PageEntry(nil), r.rec...)
-		fresh := make(map[uint64]struct{}, len(r.rec))
-		for _, e := range r.rec {
-			fresh[e.VPage] = struct{}{}
-		}
-		for _, idx := range r.replayOrder {
-			e := r.sealed.Entries[idx]
-			if _, ok := fresh[e.VPage]; ok {
-				continue
-			}
-			if len(merged) >= r.cfg.MaxPages {
-				break
-			}
-			merged = append(merged, e)
-		}
-		// Renumber first-touch order over the merged sequence.
-		for i := range merged {
-			merged[i].FirstTouch = uint32(i)
-		}
-	} else {
-		merged = append([]PageEntry(nil), r.rec...)
-	}
-
+	merged := append([]PageEntry(nil), r.rec...)
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].VPage < merged[j].VPage })
 	r.sealed = Manifest{Entries: merged, Seq: r.sealed.Seq + 1}
 	r.index()

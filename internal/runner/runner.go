@@ -31,7 +31,7 @@ import (
 // Config parameterizes an Engine. Every field value is meaningful — zero
 // values select documented defaults — so there is nothing to reject.
 //
-//lukewarm:novalidate all field values are valid; zero values select defaults (Jobs -> GOMAXPROCS, CacheDir -> no disk tier, Now -> wall clock)
+//lukewarm:novalidate all field values are valid; zero values select defaults (Jobs -> GOMAXPROCS, CacheDir -> no disk tier)
 type Config struct {
 	// Jobs is the maximum number of cells simulated concurrently. Zero or
 	// negative selects GOMAXPROCS. A batch of n cells uses min(Jobs, n)
@@ -48,12 +48,6 @@ type Config struct {
 	// Writes are serialized; direct this at stderr so stdout tables stay
 	// byte-identical.
 	Progress io.Writer
-	// Now is the engine's clock, read once per cell start and finish for
-	// telemetry (progress lines, CellWall, -report wall times). Nil selects
-	// the wall clock. Telemetry is the engine's only time source — results
-	// never depend on it — and tests inject a fake here to make progress
-	// and report timing deterministic.
-	Now func() time.Time
 }
 
 // Engine executes cell batches. Create one with New and share it across an
@@ -63,7 +57,6 @@ type Engine struct {
 	jobs     int
 	cache    *Cache
 	progress io.Writer
-	now      func() time.Time // telemetry clock seam; see Config.Now
 
 	mu    sync.Mutex // guards progress writes and phase
 	phase string
@@ -83,11 +76,15 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Now == nil {
-		//lukewarm:wallclock the engine's sole wall-clock seam; telemetry only, tests inject Config.Now
-		cfg.Now = time.Now
-	}
-	return &Engine{jobs: cfg.Jobs, cache: cache, progress: cfg.Progress, now: cfg.Now}, nil
+	return &Engine{jobs: cfg.Jobs, cache: cache, progress: cfg.Progress}, nil
+}
+
+// wallNow is the engine's only time source, read once per cell start and
+// finish for telemetry (progress lines, CellWall, -report wall times).
+// Results never depend on it.
+func wallNow() time.Time {
+	//lukewarm:wallclock the engine's sole wall-clock read; telemetry only
+	return time.Now()
 }
 
 // Default builds the engine experiments fall back on when the caller did not
@@ -178,10 +175,10 @@ func mapHit[T any](e *Engine, n int, label func(int) string, fn func(int) (T, bo
 	var done atomic.Int64
 
 	run := func(i int) {
-		start := e.now()
+		start := wallNow()
 		var hit bool
 		results[i], hit, errs[i] = fn(i)
-		e.note(int(done.Add(1)), n, label(i), e.now().Sub(start), hit)
+		e.note(int(done.Add(1)), n, label(i), wallNow().Sub(start), hit)
 	}
 
 	if workers := min(e.jobs, n); workers > 1 {

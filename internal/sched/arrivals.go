@@ -68,18 +68,10 @@ type Shape struct {
 	Kind ShapeKind
 	// MeanIATms is the mean gap in milliseconds.
 	MeanIATms float64
-	// PeriodMs is the diurnal cycle length; <= 0 selects
-	// DiurnalPeriodInMeans * MeanIATms. Ignored by other kinds.
-	PeriodMs float64
 }
 
-// period returns the effective diurnal period.
-func (s Shape) period() float64 {
-	if s.PeriodMs > 0 {
-		return s.PeriodMs
-	}
-	return DiurnalPeriodInMeans * s.MeanIATms
-}
+// period returns the diurnal cycle length.
+func (s Shape) period() float64 { return DiurnalPeriodInMeans * s.MeanIATms }
 
 // exp draws an exponential gap with the given mean, clamping the uniform
 // draw away from zero exactly as the traffic engine always has.

@@ -79,14 +79,14 @@ func TestBurstyShape(t *testing.T) {
 	}
 }
 
-// TestDiurnalPeriod verifies the rate cycle has the configured period: with
-// the 5% jitter the only other modulation, every observed gap must sit
-// within the jitter band of mean/(1 + A*sin(2*pi*t/period)) evaluated at the
-// gap's start time. A wrong period would desynchronize the predicted rate
+// TestDiurnalPeriod verifies the rate cycle has its period of
+// DiurnalPeriodInMeans mean gaps: with the 5% jitter the only other
+// modulation, every observed gap must sit within the jitter band of
+// mean/(1 + A*sin(2*pi*t/period)) evaluated at the gap's start time. A wrong period would desynchronize the predicted rate
 // from the drawn gaps almost immediately.
 func TestDiurnalPeriod(t *testing.T) {
-	const mean, period = 100.0, 1500.0
-	s := Shape{Kind: Diurnal, MeanIATms: mean, PeriodMs: period}
+	const mean, period = 100.0, DiurnalPeriodInMeans * 100.0
+	s := Shape{Kind: Diurnal, MeanIATms: mean}
 	gaps := s.Sequence(21, 4, 500)
 	now := 0.0
 	for i, g := range gaps {

@@ -73,34 +73,30 @@ func (noEvict) Decide(_ string, idleMs float64) Decision {
 	return Decision{ResidentMs: idleMs}
 }
 
+// HybridHistogram trust thresholds: a function's histogram is trusted once
+// it holds hybridMinSamples gaps, and it counts as predictable (low CV in
+// Shahrad et al.'s terms) and earns a pre-warm window while its p99/p5 IAT
+// ratio stays within hybridSpreadMax.
+const (
+	hybridMinSamples = 4
+	hybridSpreadMax  = 4
+)
+
 // HybridConfig parameterizes the HybridHistogram policy. The zero value
-// selects the defaults documented on each field.
+// selects the default documented on its field.
 //
 //lukewarm:novalidate the whole field domain is realizable: zero/negative fields select the documented defaults in withDefaults
 type HybridConfig struct {
 	// FallbackMs is the fixed timeout applied while a function has fewer
-	// than MinSamples observed gaps (and as the behaviour HybridHistogram
-	// degrades to when its histogram says the pattern is unpredictable and
-	// even the conservative window would be pointless). Zero selects 250 ms.
+	// than four observed gaps (and as the behaviour HybridHistogram degrades
+	// to when its histogram says the pattern is unpredictable and even the
+	// conservative window would be pointless). Zero selects 250 ms.
 	FallbackMs float64
-	// MinSamples is how many gaps a function must exhibit before the
-	// histogram is trusted. Zero selects 4.
-	MinSamples int
-	// SpreadMax is the p99/p5 IAT ratio up to which a function counts as
-	// predictable (low CV in Shahrad et al.'s terms) and earns a pre-warm
-	// window. Zero selects 4.
-	SpreadMax float64
 }
 
 func (c HybridConfig) withDefaults() HybridConfig {
 	if c.FallbackMs <= 0 {
 		c.FallbackMs = 250
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 4
-	}
-	if c.SpreadMax <= 0 {
-		c.SpreadMax = 4
 	}
 	return c
 }
@@ -115,15 +111,15 @@ type hybridHistogram struct {
 // of Shahrad et al. (ATC'20): each function's observed inter-arrival gaps
 // feed a log-scale histogram, and the policy derives two windows from it.
 //
-// For a predictable function (p99/p5 spread within SpreadMax) the instance
+// For a predictable function (p99/p5 spread within 4x) the instance
 // is kept resident only for a short head window (p5/8, absorbing intra-burst
 // re-invocations), reclaimed, and pre-warmed at 80% of the 5th-percentile
 // gap — just before the earliest plausible next arrival — so nearly every
 // invocation finds it warm while memory is spent only on the tail of each
 // gap. For an unpredictable function the policy falls back to a conservative
 // fixed keep-alive at the 99th-percentile gap (no pre-warm can beat a
-// memoryless arrival process). Functions with fewer than MinSamples observed
-// gaps use the FallbackMs fixed timeout.
+// memoryless arrival process). Functions with fewer than four observed gaps
+// use the FallbackMs fixed timeout.
 func HybridHistogram(cfg HybridConfig) KeepAlive {
 	return &hybridHistogram{cfg: cfg.withDefaults(), hists: map[string]*IATHistogram{}}
 }
@@ -158,11 +154,11 @@ func (p *hybridHistogram) decide(h *IATHistogram, idleMs float64) Decision {
 	// An empty history must fall back to the fixed timeout: percentile
 	// returns 0 for n == 0, which would otherwise collapse both windows to
 	// zero and evict (and "pre-warm") on every gap.
-	if h.N() == 0 || h.N() < p.cfg.MinSamples {
+	if h.N() < hybridMinSamples {
 		return fixedTimeout{timeoutMs: p.fallbackMs()}.Decide("", idleMs)
 	}
 	p5, p99 := h.Percentile(5), h.Percentile(99)
-	if p99 > p5*p.cfg.SpreadMax {
+	if p99 > p5*hybridSpreadMax {
 		// Unpredictable: conservative keep-alive at the p99 gap, no pre-warm.
 		return fixedTimeout{timeoutMs: p99}.Decide("", idleMs)
 	}
@@ -190,11 +186,11 @@ func (p *hybridHistogram) decide(h *IATHistogram, idleMs float64) Decision {
 // effect).
 func (p *hybridHistogram) Windows(fn string) (headMs, prewarmMs, keepMs float64) {
 	h := p.hists[fn]
-	if h == nil || h.N() == 0 || h.N() < p.cfg.MinSamples {
+	if h == nil || h.N() < hybridMinSamples {
 		return 0, 0, p.fallbackMs()
 	}
 	p5, p99 := h.Percentile(5), h.Percentile(99)
-	if p99 > p5*p.cfg.SpreadMax {
+	if p99 > p5*hybridSpreadMax {
 		return 0, 0, p99
 	}
 	return p5 / 8, 0.8 * p5, 0

@@ -87,7 +87,7 @@ func TestFixedTimeoutAndNoEvict(t *testing.T) {
 }
 
 func TestHybridHistogramLearnsPredictableFunction(t *testing.T) {
-	ka := HybridHistogram(HybridConfig{FallbackMs: 50, MinSamples: 4})
+	ka := HybridHistogram(HybridConfig{FallbackMs: 50})
 	// A near-periodic function: 100 ms gaps with small wobble. The fallback
 	// (50 ms) cold-starts every one of them.
 	gaps := []float64{98, 102, 99, 101, 100, 97, 103, 100}
@@ -127,8 +127,8 @@ func TestHybridHistogramLearnsPredictableFunction(t *testing.T) {
 }
 
 func TestHybridHistogramUnpredictableFallsBackToP99(t *testing.T) {
-	ka := HybridHistogram(HybridConfig{FallbackMs: 50, MinSamples: 4, SpreadMax: 4})
-	// Wildly spread gaps: spread far beyond SpreadMax.
+	ka := HybridHistogram(HybridConfig{FallbackMs: 50})
+	// Wildly spread gaps: spread far beyond hybridSpreadMax.
 	for _, g := range []float64{1, 10, 100, 1000, 5000} {
 		ka.Decide("wild", g)
 	}
@@ -218,10 +218,9 @@ func TestDiurnalGapsPredictableBand(t *testing.T) {
 }
 
 // Regression: an empty IAT history must fall back to the fixed timeout, not
-// evict immediately. Before the h.n == 0 guard in decide, a zero-value
-// HybridConfig (MinSamples 0, bypassing withDefaults) made percentile return
-// 0, collapsing both windows to zero and reporting every gap as
-// evicted-and-prewarmed.
+// evict immediately. Before decide guarded empty histories, a zero-value
+// HybridConfig (bypassing withDefaults) made percentile return 0, collapsing
+// both windows to zero and reporting every gap as evicted-and-prewarmed.
 func TestHybridHistogramEmptyHistoryFallsBackToFixedTimeout(t *testing.T) {
 	// The degenerate construction: a zero-value config never run through
 	// withDefaults, as an embedding caller might build it.

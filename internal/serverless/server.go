@@ -21,7 +21,6 @@ package serverless
 import (
 	"math"
 
-	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/mem"
@@ -49,18 +48,16 @@ type Config struct {
 	// into the LLC and TLBs, Jukebox replays instruction regions into the
 	// L2.
 	Reap *reap.Config
-	// ThrashBytesPerMs is the volume of foreign microarchitectural state
-	// streamed through the core and caches per millisecond of idle time at
-	// the ambient server load (Fig. 1 runs at ~50% CPU load). The default
-	// of 96 KB/ms puts the CPI knee at tens of milliseconds and saturation
-	// near one second on the characterization host, as in Fig. 1.
-	ThrashBytesPerMs int
 	// PerfectICache services all instruction fetches at L1 latency
 	// (the Fig. 10 upper bound).
 	PerfectICache bool
 }
 
-// DefaultThrashBytesPerMs is the Fig. 1 interleaving intensity.
+// DefaultThrashBytesPerMs is the Fig. 1 interleaving intensity: the volume
+// of foreign microarchitectural state streamed through the core and caches
+// per millisecond of idle time at the ambient server load (Fig. 1 runs at
+// ~50% CPU load). 96 KB/ms puts the CPI knee at tens of milliseconds and
+// saturation near one second on the characterization host, as in Fig. 1.
 const DefaultThrashBytesPerMs = 96 << 10
 
 // Instance is one warm, memory-resident function instance: its address
@@ -117,9 +114,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
-	if cfg.ThrashBytesPerMs == 0 {
-		cfg.ThrashBytesPerMs = DefaultThrashBytesPerMs
-	}
 	return cfg
 }
 
@@ -140,9 +134,6 @@ func (cfg Config) Validate() error {
 		if err := cfg.Reap.Validate(); err != nil {
 			return err
 		}
-	}
-	if cfg.ThrashBytesPerMs < 0 {
-		return cfgerr.New("server: negative ThrashBytesPerMs %d", cfg.ThrashBytesPerMs)
 	}
 	return nil
 }
@@ -356,7 +347,7 @@ func (s *Server) AdvanceIATOn(idx int, ms float64) {
 	// ms * 1e-3 s * freq GHz * 1e9 cycles/s = ms * freq * 1e6 cycles.
 	c.AdvanceCycles(mem.Cycle(ms * s.cfg.CPU.FreqGHz * 1e6))
 
-	bytes := ms * float64(s.cfg.ThrashBytesPerMs)
+	bytes := ms * float64(DefaultThrashBytesPerMs)
 	rng := s.thrashRNG.Uint64
 	frac := func(capacityBytes int) float64 {
 		return 1 - math.Exp(-bytes/float64(capacityBytes))

@@ -43,9 +43,6 @@ type TrafficConfig struct {
 	// precedence over HeavyTail and Poisson; Diurnal takes precedence
 	// over it.
 	Bursty bool
-	// DiurnalPeriodMs is the diurnal cycle length; 0 selects the default
-	// (sched.DiurnalPeriodInMeans mean gaps).
-	DiurnalPeriodMs float64
 	// InvocationsPerInstance bounds the run.
 	InvocationsPerInstance int
 	// ColdStartMs is the instance boot cost charged to a cold start
@@ -53,8 +50,9 @@ type TrafficConfig struct {
 	ColdStartMs float64
 	// AmbientThrash treats the deployed instances as a sample of a much
 	// larger co-resident population: idle gaps apply the server's
-	// ThrashBytesPerMs partial-eviction model (as in the Fig. 1 sweep) in
-	// addition to the natural interleaving of the deployed instances.
+	// DefaultThrashBytesPerMs partial-eviction model (as in the Fig. 1
+	// sweep) in addition to the natural interleaving of the deployed
+	// instances.
 	AmbientThrash bool
 	// MaxQueue bounds the number of invocations waiting past their arrival
 	// time at dispatch; when the backlog reaches the bound the dispatcher
@@ -113,8 +111,6 @@ func (c TrafficConfig) Validate() error {
 		return cfgerr.New("traffic: InvocationsPerInstance must be positive, got %d", c.InvocationsPerInstance)
 	case c.ColdStartMs < 0:
 		return cfgerr.New("traffic: negative ColdStartMs %g", c.ColdStartMs)
-	case c.DiurnalPeriodMs < 0:
-		return cfgerr.New("traffic: negative DiurnalPeriodMs %g", c.DiurnalPeriodMs)
 	case c.MaxQueue < 0:
 		return cfgerr.New("traffic: negative MaxQueue %d", c.MaxQueue)
 	case c.ShedAfterMs < 0:
@@ -128,7 +124,7 @@ func (c TrafficConfig) Validate() error {
 
 // shape resolves the configured arrival-process shape.
 func (c TrafficConfig) shape() sched.Shape {
-	s := sched.Shape{Kind: sched.Fixed, MeanIATms: c.MeanIATms, PeriodMs: c.DiurnalPeriodMs}
+	s := sched.Shape{Kind: sched.Fixed, MeanIATms: c.MeanIATms}
 	switch {
 	case c.Diurnal:
 		s.Kind = sched.Diurnal
@@ -546,23 +542,13 @@ func (ts *TrafficSim) EarliestFreeAt() mem.Cycle {
 // space and any Jukebox metadata are reclaimed (Instance.Evict), the REAP
 // manifest is lost with the host's snapshot store, and the next dispatch
 // cold-starts unconditionally, bypassing the keep-alive policy.
-func (ts *TrafficSim) MarkCrashed(inst *Instance) { ts.markCrashed(inst, false) }
-
-// MarkCrashedShipped is MarkCrashed for a fleet that ships REAP record
-// files off-host: the instance still cold-starts, but its sealed manifest
-// survives, so the restart restores its working set instead of demand-
-// faulting everything.
-func (ts *TrafficSim) MarkCrashedShipped(inst *Instance) { ts.markCrashed(inst, true) }
-
-func (ts *TrafficSim) markCrashed(inst *Instance, shipManifest bool) {
+func (ts *TrafficSim) MarkCrashed(inst *Instance) {
 	st := ts.state[inst]
 	if st == nil {
 		return
 	}
 	inst.Evict()
-	if !shipManifest {
-		inst.DropManifest()
-	}
+	inst.DropManifest()
 	st.forceCold = true
 	st.hasDone = false
 }
@@ -570,8 +556,7 @@ func (ts *TrafficSim) markCrashed(inst *Instance, shipManifest bool) {
 // prewarmArmed reports whether inst has sealed warm-up state the selected
 // mechanism could replay ahead of an arrival.
 func (ts *TrafficSim) prewarmArmed(inst *Instance, mech predict.Mech) bool {
-	if inst.Reap != nil && mech != predict.MechJukebox &&
-		inst.Reap.RestoreEnabled() && inst.Reap.RestoreFootprintBytes() > 0 {
+	if inst.Reap != nil && mech != predict.MechJukebox && inst.Reap.RestoreFootprintBytes() > 0 {
 		return true
 	}
 	if inst.Jukebox != nil && mech != predict.MechReap &&
@@ -588,7 +573,7 @@ func (ts *TrafficSim) prewarmArmed(inst *Instance, mech predict.Mech) bool {
 // the ledger charges this static estimate instead.
 func (ts *TrafficSim) prewarmCharge(inst *Instance, mech predict.Mech) predict.Charge {
 	var bytes uint64
-	if inst.Reap != nil && mech != predict.MechJukebox && inst.Reap.RestoreEnabled() {
+	if inst.Reap != nil && mech != predict.MechJukebox {
 		bytes += inst.Reap.RestoreFootprintBytes()
 	}
 	if inst.Jukebox != nil && mech != predict.MechReap && inst.Jukebox.ReplayEnabled() {

@@ -287,12 +287,6 @@ func TestNoKeepAlive(t *testing.T) {
 	if res.ResidentMs <= 0 {
 		t.Error("nil KeepAlive run accounted no resident time")
 	}
-
-	if err := (TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, DiurnalPeriodMs: -1}).Validate(); err == nil {
-		t.Error("negative DiurnalPeriodMs accepted")
-	} else if !errors.Is(err, cfgerr.ErrBadConfig) {
-		t.Errorf("error %v does not wrap ErrBadConfig", err)
-	}
 }
 
 func TestPerFunctionBreakdown(t *testing.T) {

@@ -65,7 +65,7 @@ type (
 	// Server is a simulated serverless host: one core plus its co-resident
 	// warm function instances.
 	Server = serverless.Server
-	// ServerConfig configures a Server (platform, Jukebox, thrash model).
+	// ServerConfig configures a Server (platform, cores, Jukebox, REAP).
 	ServerConfig = serverless.Config
 	// Instance is one warm, memory-resident function instance.
 	Instance = serverless.Instance
@@ -147,8 +147,8 @@ type (
 	// ColdstartMech names one warm-up mechanism of the cold-start sweep.
 	ColdstartMech = experiments.ColdstartMech
 	// PredictConfig arms predictive pre-warming on a traffic simulation
-	// (TrafficConfig.Predict): forecaster, lead time, freshness window,
-	// per-function mechanism choice and optional fleet budget.
+	// (TrafficConfig.Predict): forecaster, lead time, per-function
+	// mechanism choice and optional fleet budget.
 	PredictConfig = predict.Config
 	// Forecaster predicts a function's next inter-arrival gap; see
 	// NewForecaster for the built-in implementations.
@@ -243,8 +243,8 @@ func DefaultJukeboxConfig() JukeboxConfig { return core.DefaultConfig() }
 func DefaultPIFConfig() PIFConfig { return pif.DefaultConfig() }
 
 // DefaultReapConfig returns the default REAP recorder/prefetcher
-// configuration: record and restore enabled, cumulative manifests, 8192-page
-// capacity. Attach it by setting ServerConfig.Reap.
+// configuration: an 8192-page manifest that each invocation reseals from its
+// own recording. Attach it by setting ServerConfig.Reap.
 func DefaultReapConfig() ReapConfig { return reap.DefaultConfig() }
 
 // IdealPIFConfig returns PIF-ideal: unlimited, persistent metadata.

@@ -130,7 +130,7 @@ func TestFacadeExperimentWrappers(t *testing.T) {
 }
 
 func TestFacadeErrorHygiene(t *testing.T) {
-	if _, err := NewServerErr(ServerConfig{ThrashBytesPerMs: -1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewServerErr(ServerConfig{Reap: &ReapConfig{}}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad server config: err = %v, want ErrBadConfig", err)
 	}
 	if _, err := NewProgram(ProgramConfig{CodeKB: -1}); !errors.Is(err, ErrBadConfig) {
