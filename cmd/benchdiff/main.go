@@ -8,7 +8,10 @@
 //
 // With explicit file arguments it diffs those two snapshots; with none it
 // picks the two highest-numbered BENCH_<n>.json files in -dir (default ".").
-// Every metric present in both snapshots is reported. A drop of more than
+// Every metric present in both snapshots is reported. Each value compared is
+// the median of the snapshot's samples (benchjson records it as the metric,
+// with the extremes beside it); a snapshot from before -count runs holds a
+// single sample, which serves as its median. A median drop of more than
 // -threshold percent (default 10) in the SimulationThroughput benchmark's
 // Minstr/s is a hard failure (exit 1); regressions in other benchmarks —
 // fleet and experiment benches dominated by scheduling noise — are warnings
@@ -29,7 +32,8 @@ import (
 	"strings"
 )
 
-// entry mirrors cmd/benchjson's output element.
+// entry mirrors cmd/benchjson's output element; its metrics are medians.
+// The min and max beside them are not read.
 type entry struct {
 	Name       string             `json:"name"`
 	Package    string             `json:"package"`

@@ -147,3 +147,21 @@ func TestLatestPair(t *testing.T) {
 		t.Fatal("empty dir produced a pair")
 	}
 }
+
+// TestCompareGatesOnMedian runs the gate on five-sample snapshots of a
+// throughput that swings ±15% run to run. The base samples are 16.4, 19.0,
+// 19.5, 20.1 and 21.9 Minstr/s. A clean rerun (16.6, 18.9, 19.8, 20.6,
+// 22.4) passes even though its slowest sample sits 15% below the base
+// median, which a single-sample gate could have drawn. A real regression
+// (15.0, 16.5, 17.16, 18.0, 19.6) moves the median 12% and fails, though
+// its fastest sample beats the base median.
+func TestCompareGatesOnMedian(t *testing.T) {
+	base := mustLoad(t, "noisy_base.json")
+	if _, failures := compare(base, mustLoad(t, "noisy_clean.json"), 10, false); len(failures) != 0 {
+		t.Fatalf("clean noisy run failed the gate: %v", failures)
+	}
+	_, failures := compare(base, mustLoad(t, "noisy_regress.json"), 10, false)
+	if len(failures) != 1 || !strings.Contains(failures[0], "regressed 12.0%") {
+		t.Fatalf("want the 12%% median regression to fail the gate, got %v", failures)
+	}
+}

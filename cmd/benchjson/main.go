@@ -5,12 +5,14 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . ./... | benchjson > BENCH_N.json
+//	go test -run '^$' -bench . -count 5 ./... | benchjson > BENCH_N.json
 //
-// Each benchmark line becomes one record carrying the package it ran in,
-// the iteration count, and every reported metric (ns/op, B/op, custom
-// b.ReportMetric units). Non-benchmark lines are ignored, so the tool
-// tolerates interleaved PASS/ok/pkg chatter.
+// Each benchmark becomes one record carrying the package it ran in, the
+// iteration count, and every reported metric (ns/op, B/op, custom
+// b.ReportMetric units). A benchmark run several times (go test -count N)
+// becomes one record whose metrics are the medians of its samples, with
+// the minimum and maximum beside them. Non-benchmark lines are ignored, so
+// the tool tolerates interleaved PASS/ok/pkg chatter.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -27,13 +30,59 @@ type record struct {
 	Name       string `json:"name"`
 	Package    string `json:"package,omitempty"`
 	Iterations int64  `json:"iterations"`
-	// Metrics maps unit to value: "ns/op", "B/op", "allocs/op" and any
-	// custom units (encoding/json sorts keys, so output is stable).
+	// Samples is the number of runs summarized; snapshots from before
+	// -count runs omit it and carry one sample.
+	Samples int `json:"samples,omitempty"`
+	// Metrics maps unit to the median of the samples: "ns/op", "B/op",
+	// "allocs/op" and any custom units (encoding/json sorts keys, so output
+	// is stable).
 	Metrics map[string]float64 `json:"metrics"`
+	// Min and Max map unit to the extreme samples.
+	Min map[string]float64 `json:"min,omitempty"`
+	Max map[string]float64 `json:"max,omitempty"`
 }
 
-// parse consumes go test -bench output and returns the records in input
-// order.
+// summarize folds the samples of each (package, name) pair into one record
+// in first-seen order: metrics become medians, with Min and Max beside
+// them. The iteration count is the first sample's.
+func summarize(samples []record) []record {
+	type id struct{ pkg, name string }
+	var order []id
+	groups := map[id][]record{}
+	for _, r := range samples {
+		k := id{r.Package, r.Name}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]record, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		r := record{Name: k.name, Package: k.pkg, Iterations: g[0].Iterations, Samples: len(g),
+			Metrics: map[string]float64{}, Min: map[string]float64{}, Max: map[string]float64{}}
+		for unit := range g[0].Metrics {
+			var vs []float64
+			for _, s := range g {
+				if v, ok := s.Metrics[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			slices.Sort(vs)
+			m := len(vs) / 2
+			r.Metrics[unit] = vs[m]
+			if len(vs)%2 == 0 {
+				r.Metrics[unit] = (vs[m-1] + vs[m]) / 2
+			}
+			r.Min[unit], r.Max[unit] = vs[0], vs[len(vs)-1]
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// parse consumes go test -bench output and returns one record per
+// benchmark line, in input order.
 func parse(sc *bufio.Scanner) ([]record, error) {
 	var recs []record
 	pkg := ""
@@ -82,7 +131,7 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(recs); err != nil {
+	if err := enc.Encode(summarize(recs)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -42,3 +42,41 @@ BenchmarkExtensionCluster-8 	       1	1000000000 ns/op	        97.50 avail%
 		t.Error("malformed value accepted")
 	}
 }
+
+// TestSummarizeSamples pins the -count contract: repeated lines of one
+// benchmark fold into a single record of medians with the extremes beside
+// them, in first-seen order, and a bench of the same name in another
+// package stays separate.
+func TestSummarizeSamples(t *testing.T) {
+	in := `pkg: lukewarm
+BenchmarkSimulationThroughput-2 	1	1 ns/op	20.0 Minstr/s
+BenchmarkSimulationThroughput-2 	1	1 ns/op	17.0 Minstr/s
+BenchmarkOther-2 	3	50 ns/op
+BenchmarkSimulationThroughput-2 	1	1 ns/op	23.0 Minstr/s
+BenchmarkSimulationThroughput-2 	1	1 ns/op	19.0 Minstr/s
+BenchmarkSimulationThroughput-2 	1	1 ns/op	21.0 Minstr/s
+BenchmarkOther-2 	3	70 ns/op
+pkg: lukewarm/internal/mem
+BenchmarkOther-2 	9	5 ns/op
+`
+	samples, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := summarize(samples)
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3: %+v", len(recs), recs)
+	}
+	thr := recs[0]
+	if thr.Name != "BenchmarkSimulationThroughput-2" || thr.Samples != 5 ||
+		thr.Metrics["Minstr/s"] != 20 || thr.Min["Minstr/s"] != 17 || thr.Max["Minstr/s"] != 23 {
+		t.Errorf("throughput record = %+v", thr)
+	}
+	if other := recs[1]; other.Package != "lukewarm" || other.Samples != 2 || other.Metrics["ns/op"] != 60 ||
+		other.Min["ns/op"] != 50 || other.Max["ns/op"] != 70 {
+		t.Errorf("even-count record = %+v, want the mean of the middle pair", other)
+	}
+	if mem := recs[2]; mem.Package != "lukewarm/internal/mem" || mem.Samples != 1 || mem.Metrics["ns/op"] != 5 {
+		t.Errorf("single-sample record = %+v", mem)
+	}
+}

@@ -14,13 +14,16 @@ type InstrSource interface {
 	Next() (program.Instr, bool)
 }
 
-// batchSource is the bulk-delivery fast path: sources that implement it
-// (program.Invocation) hand stage 1 whole buffers of instructions, so the
-// walk pays no per-instruction interface call. NextBatch must yield exactly
-// the stream repeated Next calls would — the differential tests in
-// internal/check hold the two paths bit-identical.
-type batchSource interface {
-	NextBatch(buf []program.Instr) int
+// eventSource is the bulk-delivery fast path: sources that implement it
+// (program.Invocation) hand stage 1 whole buffers of instructions with the
+// indices of their events, so the walk pays no per-instruction interface
+// call and neither stage visits plain mid-line instructions. WalkBatch
+// must yield exactly the stream repeated Next calls would, fill buf unless
+// the stream ends, and list every line start, line end, load and store in
+// ev, strictly increasing — the differential tests in internal/check and
+// internal/cpu hold the two paths bit-identical.
+type eventSource interface {
+	WalkBatch(buf []program.Instr, ev []uint16) (n, ne int)
 }
 
 // tdAcc accumulates Top-Down cycles as integers during a run; RunInvocation
@@ -209,21 +212,27 @@ func (c *Core) end(m runMark, acc *tdAcc, instrs uint64) RunResult {
 	return res
 }
 
-// exec is stage 2 for one dynamic instruction; x is stage 1's translation
-// of it.
+// retire retires g instructions in one step. instrCount, retireAcc, now and
+// the Retiring cycles advance exactly as g single retirements would: each
+// retirement adds one quantum to retireAcc, and every DispatchWidth-th
+// quantum wraps it to zero and charges one Retiring cycle.
 //
-//lukewarm:hotpath noalloc,noescape,nobce the per-instruction timing step; everything the simulator measures flows through it
+//lukewarm:hotpath noalloc,noescape,inline,nobce once per event, for the run of plain instructions it closes
+func (c *Core) retire(g int, acc *tdAcc) {
+	c.instrCount += uint64(g)
+	r, w := uint(c.retireAcc+g), uint(c.Cfg.DispatchWidth)
+	q := r / w
+	c.retireAcc = int(r - q*w)
+	c.now += mem.Cycle(q)
+	acc[topdown.Retiring] += mem.Cycle(q)
+}
+
+// exec is stage 2's work for one event, after retire has counted it; x is
+// stage 1's translation of it. A plain event that starts no fetch block
+// needs nothing more.
+//
+//lukewarm:hotpath noalloc,noescape,nobce the per-event timing step; everything the simulator measures flows through it
 func (c *Core) exec(in *program.Instr, x *xlat, acc *tdAcc) {
-	c.instrCount++
-
-	// Retiring quantum: one cycle per DispatchWidth instructions.
-	c.retireAcc++
-	if c.retireAcc >= c.Cfg.DispatchWidth {
-		c.retireAcc = 0
-		c.now++
-		acc[topdown.Retiring]++
-	}
-
 	// Front end: new fetch block?
 	if x.newBlock {
 		c.fetchBlock(in.VAddr, x, acc)

@@ -278,3 +278,34 @@ func TestDataObserversResolvedPerInvocation(t *testing.T) {
 		t.Fatalf("single observer resolved as %v", got)
 	}
 }
+
+// TestRetireRun pins the plain-run step: retire(g) leaves instrCount,
+// retireAcc, the clock and the Retiring cycles exactly where g single
+// retirements leave them, from every starting remainder.
+func TestRetireRun(t *testing.T) {
+	for width := 1; width <= 8; width++ {
+		for start := 0; start < width; start++ {
+			for g := 0; g <= 40; g++ {
+				bulk := &Core{Cfg: Config{DispatchWidth: width}, retireAcc: start, now: 100, instrCount: 7}
+				single := *bulk
+				var bulkAcc, singleAcc tdAcc
+				bulk.retire(g, &bulkAcc)
+				for i := 0; i < g; i++ {
+					single.instrCount++
+					single.retireAcc++
+					if single.retireAcc >= width {
+						single.retireAcc = 0
+						single.now++
+						singleAcc[topdown.Retiring]++
+					}
+				}
+				if bulk.instrCount != single.instrCount || bulk.retireAcc != single.retireAcc ||
+					bulk.now != single.now || bulkAcc != singleAcc {
+					t.Fatalf("width %d, remainder %d, g %d: bulk (instrs %d, acc %d, now %d, %v), single (instrs %d, acc %d, now %d, %v)",
+						width, start, g, bulk.instrCount, bulk.retireAcc, bulk.now, bulkAcc,
+						single.instrCount, single.retireAcc, single.now, singleAcc)
+				}
+			}
+		}
+	}
+}

@@ -8,9 +8,10 @@ import (
 	"lukewarm/internal/vm"
 )
 
-// nextOnly hides an invocation's NextBatch method, forcing RunInvocation
-// down the per-instruction interface path. FuzzCacheBatchedFetch uses it to
-// hold the region-batched fetch pipeline bit-identical to the unbatched one.
+// nextOnly hides an invocation's WalkBatch method, forcing RunInvocation
+// down the per-instruction interface path, where every instruction is an
+// event. FuzzCacheBatchedFetch uses it to hold the region-batched fetch
+// pipeline bit-identical to the unbatched one.
 type nextOnly struct{ src InstrSource }
 
 func (n nextOnly) Next() (program.Instr, bool) { return n.src.Next() }
@@ -26,7 +27,7 @@ func coreFingerprint(c *Core, res RunResult) string {
 
 // FuzzCacheBatchedFetch generates a synthetic program from fuzzed knobs and
 // runs the same invocation twice on fresh cores: once through the batched
-// fast path (NextBatch buffers feeding the fetch→L1I→walk→L2 pipeline),
+// fast path (WalkBatch buffers and events feeding the fetch→L1I→walk→L2 pipeline),
 // once through the per-instruction Next fallback. Any fingerprint mismatch
 // means the batched pipeline drifted from the architectural model.
 func FuzzCacheBatchedFetch(f *testing.F) {

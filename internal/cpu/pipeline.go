@@ -15,7 +15,8 @@ import (
 // half of translation for a batch of instructions: the ITLB/DTLB lookup,
 // the walker's PTE-line cache, demand frame allocation in the address space,
 // and new-fetch-block detection. It writes the physical addresses and the
-// kind of each walk beside the instruction.
+// kind of each walk beside the instruction. Both stages visit only the
+// batch's events (see batch).
 //
 // Stage 2 (Core.exec) charges each walk's latency, making a cold walk's DRAM
 // access at the cycle translation always made it, and drives the cache
@@ -39,12 +40,15 @@ import (
 // time can tell the stages apart.
 
 // batchLen is the number of instructions stage 1 hands stage 2 at a time
-// in a pipelined run.
+// in a pipelined run. It is a power of two, so masking an event index with
+// batchLen-1 proves it in bounds, and it fits the uint16 event indices.
 const batchLen = 1024
+
+const _ = uint16(batchLen - 1) // compile-time check: event indices fit a uint16
 
 // pipeDepth is the number of batches a pipelined run cycles through: stage
 // 2 executes one while stage 1 fills the others. Four 1024-instruction
-// batches (224 KB) keep stage 1 ahead; larger batches overlap no better and
+// batches (232 KB) keep stage 1 ahead; larger batches overlap no better and
 // add live heap, which the garbage collector doubles into resident memory.
 const pipeDepth = 4
 
@@ -57,9 +61,9 @@ const inlineLen = 2 * batchLen
 
 // chunkLen is what the caller's goroutine walks and executes at a time
 // while it runs a stream's first inlineLen instructions: a chunk of
-// instructions and annotations (14 KB) stays in the host's L1, where a
-// whole batch would push the simulated caches' own arrays out of it on
-// every short invocation.
+// instructions, annotations and events (15 KB) stays in the host's L1,
+// where a whole batch would push the simulated caches' own arrays out of it
+// on every short invocation.
 const chunkLen = 256
 
 // xlat is stage 1's annotation of one instruction.
@@ -75,12 +79,21 @@ type xlat struct {
 	newBlock bool
 }
 
-// batch is one pooled buffer of the pipeline: n instructions and their
-// stage-1 annotations.
+// batch is one pooled buffer of the pipeline: n instructions, the indices
+// of the ne events among them, and the events' stage-1 annotations.
+//
+// An event is an instruction either stage may have work for: one that
+// starts or ends a code line, or a load or store. The walker records them
+// as it generates the stream (program.Invocation.WalkBatch); a source with
+// only Next marks every instruction an event. Everything else is a plain
+// mid-line instruction, which cannot start a fetch block, so neither stage
+// looks at it: stage 1 translates nothing for it and stage 2 retires each
+// run of them in one step. Only events have an xl entry written.
 type batch struct {
-	n     int
+	n, ne int
 	instr [batchLen]program.Instr
 	xl    [batchLen]xlat
+	ev    [batchLen]uint16
 }
 
 // frontEnd is stage 1: the instruction source and the MMU state it owns for
@@ -88,8 +101,9 @@ type batch struct {
 type frontEnd struct {
 	mmu *vm.MMU
 	src InstrSource
-	// bs is src's bulk-delivery side, nil for sources with only Next.
-	bs batchSource
+	// es is src's event-recording bulk side, nil for sources with only
+	// Next.
+	es eventSource
 	// ended records that src reported the end of the stream.
 	ended bool
 	// curBlock is the fetch block of the previous instruction.
@@ -98,22 +112,24 @@ type frontEnd struct {
 
 // start points stage 1 at a new stream.
 func (f *frontEnd) start(mmu *vm.MMU, src InstrSource) {
-	bs, _ := src.(batchSource)
-	*f = frontEnd{mmu: mmu, src: src, bs: bs, curBlock: ^uint64(0)}
+	es, _ := src.(eventSource)
+	*f = frontEnd{mmu: mmu, src: src, es: es, curBlock: ^uint64(0)}
 }
 
 // fill runs stage 1 over at most limit (<= batchLen) further instructions
 // of the stream into b and returns how many it holds: limit unless the
-// stream ended.
+// stream ended. It translates events only: a plain mid-line instruction
+// shares its line's fetch block, which the line's start already checked.
 //
-//lukewarm:hotpath noalloc,noescape,nobce the stage-1 batch loop: walks and translates every instruction ahead of exec
+//lukewarm:hotpath noalloc,noescape,nobce the stage-1 batch loop: walks the stream and translates its events ahead of exec
 func (f *frontEnd) fill(b *batch, limit int) int {
-	n := f.read(b.instr[:], limit)
+	n, ne := f.read(b, limit)
 	mmu := f.mmu
-	for i := range b.instr {
-		if i == n {
+	for k := range b.ev {
+		if k == ne {
 			break
 		}
+		i := b.ev[k] & (batchLen - 1)
 		in, x := &b.instr[i], &b.xl[i]
 		blk := in.VAddr &^ (mem.LineSize - 1)
 		x.newBlock = blk != f.curBlock
@@ -125,32 +141,35 @@ func (f *frontEnd) fill(b *batch, limit int) int {
 			x.dataPA, x.dwalk = mmu.ResolveData(in.MemAddr)
 		}
 	}
-	b.n = n
+	b.n, b.ne = n, ne
 	return n
 }
 
-// read fills buf[:limit] from the source, completely unless the stream
-// ends. It never asks a source for more after the source reported the end.
+// read fills b's first limit instructions and their events from the
+// source, all limit unless the stream ends, and returns the counts. It
+// never asks a source for more after the source reported the end.
 //
-//lukewarm:hotpath noalloc,noescape the per-batch source drain, through NextBatch or one Next call per instruction
-func (f *frontEnd) read(buf []program.Instr, limit int) int {
-	buf = buf[:limit]
-	n := 0
-	for !f.ended && n < len(buf) {
-		if f.bs != nil {
-			k := f.bs.NextBatch(buf[n:])
-			f.ended = k == 0
-			n += k
-			continue
-		}
-		in, ok := f.src.Next()
-		f.ended = !ok
-		if ok {
-			buf[n] = in
-			n++
-		}
+//lukewarm:hotpath noalloc,noescape the per-batch source drain, through WalkBatch or one Next call per instruction
+func (f *frontEnd) read(b *batch, limit int) (n, ne int) {
+	if f.ended {
+		return 0, 0
 	}
-	return n
+	if f.es != nil {
+		n, ne = f.es.WalkBatch(b.instr[:limit], b.ev[:limit])
+		f.ended = n < limit
+		return n, ne
+	}
+	for n < limit {
+		in, ok := f.src.Next()
+		if !ok {
+			f.ended = true
+			break
+		}
+		b.instr[n] = in
+		b.ev[n] = uint16(n) // without an event list, every instruction is one
+		n++
+	}
+	return n, n
 }
 
 // pipe is one two-stage pipeline: stage 1's state and the batches the
@@ -315,14 +334,21 @@ func (c *Core) runPipelined(p *pipe, acc *tdAcc) uint64 {
 	return instrs
 }
 
-// execBatch is stage 2 over one batch.
+// execBatch is stage 2 over one batch. It visits the events only: each
+// run of plain instructions before an event retires in one step together
+// with the event itself, and the run after the last event at the end.
 //
 //lukewarm:hotpath noalloc,noescape,nobce stage 2's batch loop; every simulated instruction passes through it
 func (c *Core) execBatch(b *batch, acc *tdAcc) {
-	for i := range b.instr {
-		if i == b.n {
+	next := 0 // the first instruction not yet retired
+	for k := range b.ev {
+		if k == b.ne {
 			break
 		}
+		i := int(b.ev[k] & (batchLen - 1))
+		c.retire(i+1-next, acc)
 		c.exec(&b.instr[i], &b.xl[i], acc)
+		next = i + 1
 	}
+	c.retire(b.n-next, acc)
 }

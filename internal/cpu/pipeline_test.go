@@ -53,11 +53,11 @@ func (t *truncated) Next() (program.Instr, bool) {
 	return in, ok
 }
 
-func (t *truncated) NextBatch(buf []program.Instr) int {
+func (t *truncated) WalkBatch(buf []program.Instr, ev []uint16) (int, int) {
 	buf = buf[:min(len(buf), t.rem)]
-	n := t.inv.NextBatch(buf)
+	n, ne := t.inv.WalkBatch(buf, ev)
 	t.rem -= n
-	return n
+	return n, ne
 }
 
 // stageFingerprint captures every counter an invocation can move: the
@@ -143,7 +143,9 @@ func (r *stageRig) invoke(src InstrSource, staged bool) string {
 // stream's first inlineLen instructions, a stage-1 goroutine for the rest —
 // bit-identical to running stage 1 then stage 2 on one goroutine a whole
 // batch at a time, around every chunk and batch boundary and on real suite
-// functions in each warm-up regime.
+// functions in each warm-up regime. On the suite functions it also holds
+// the walker's event list bit-identical to a Next-only source, where every
+// instruction is an event.
 func TestStagesMatchPipeline(t *testing.T) {
 	p := testProgram()
 	for _, n := range []int{0, 1, chunkLen, chunkLen + 1, batchLen - 1, batchLen, batchLen + 1, inlineLen, inlineLen + 1, 3 * batchLen, 3*batchLen + 1} {
@@ -178,12 +180,17 @@ func TestStagesMatchPipeline(t *testing.T) {
 		}
 		for _, regime := range []string{"warm", "jbreap", "pif"} {
 			t.Run(name+"/"+regime, func(t *testing.T) {
-				ref, got := newStageRig(regime), newStageRig(regime)
+				// The Next-only rig marks every instruction an event, the
+				// others get the walker's events.
+				ref, got, each := newStageRig(regime), newStageRig(regime), newStageRig(regime)
 				for id := uint64(0); id < uint64(invocations); id++ {
 					want := ref.invoke(w.Program.NewInvocation(id), true)
 					have := got.invoke(w.Program.NewInvocation(id), false)
 					if have != want {
 						t.Fatalf("invocation %d diverged:\npipelined: %s\nstaged:    %s", id, have, want)
+					}
+					if all := each.invoke(nextOnly{w.Program.NewInvocation(id)}, false); all != want {
+						t.Fatalf("invocation %d diverged:\nevery instruction an event: %s\nwalker events:              %s", id, all, want)
 					}
 				}
 			})

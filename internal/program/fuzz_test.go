@@ -52,7 +52,10 @@ func fuzzConfig(seed uint64, codeKB uint16, dyn uint32,
 // well-formed for any in-range configuration: every invocation walk
 // terminates within a linear bound, replays bit-identically for the same id,
 // matches DynamicLength, and emits only canonical addresses with memory
-// operands in the data regions.
+// operands in the data regions. The batch walkers (WalkBatch and
+// NextBatch) yield exactly the Next stream, and WalkBatch's events
+// strictly increase and include every line start, line end, load and
+// store.
 func FuzzProgramWalk(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint32(50_000),
 		byte(128), byte(128), byte(64), byte(40), byte(30), byte(120), byte(100), byte(20))
@@ -122,5 +125,59 @@ func FuzzProgramWalk(f *testing.F) {
 				break
 			}
 		}
+
+		checkBatchWalk(t, p, seed, 1+int(seed%1031))
 	})
+}
+
+// checkBatchWalk checks WalkBatch, in size-instruction batches, and
+// NextBatch, in batches past its scratch size, against the Next stream of
+// invocation id, and WalkBatch's events against the contract.
+func checkBatchWalk(t *testing.T, p *Program, id uint64, size int) {
+	t.Helper()
+	ref, w := p.NewInvocation(id), p.NewInvocation(id)
+	buf, ev := make([]Instr, size), make([]uint16, size)
+	lineEnd := uint64(p.cfg.InstrPerLine-1) * p.der.stride
+	var at uint64
+	for n := size; n == size; {
+		var ne int
+		n, ne = w.WalkBatch(buf, ev)
+		e := 0
+		for i, in := range buf[:n] {
+			if want, ok := ref.Next(); !ok || in != want {
+				t.Fatalf("instr %d: WalkBatch yielded %+v, Next %+v (ok %v)", at, in, want, ok)
+			}
+			isEvent := e < ne && int(ev[e]) == i
+			if isEvent {
+				e++
+			}
+			off := in.VAddr & (lineSize - 1)
+			if (off == 0 || off == lineEnd || in.Op == OpLoad || in.Op == OpStore) && !isEvent {
+				t.Fatalf("instr %d (%+v, line offset %d): not an event", at, in, off)
+			}
+			at++
+		}
+		if e != ne {
+			t.Fatalf("batch ending at instr %d: events %v are not strictly increasing indices below %d", at, ev[:ne], n)
+		}
+	}
+	if in, ok := ref.Next(); ok {
+		t.Fatalf("instr %d: WalkBatch ended early; Next still yields %+v", at, in)
+	}
+
+	ref, nb := p.NewInvocation(id), p.NewInvocation(id)
+	buf = make([]Instr, 2*len(nb.evScratch)+3)
+	at = 0
+	for n := len(buf); n == len(buf); {
+		n = nb.NextBatch(buf)
+		for _, in := range buf[:n] {
+			if want, ok := ref.Next(); !ok || in != want {
+				t.Fatalf("instr %d: NextBatch yielded %+v, Next %+v (ok %v)", at, in, want, ok)
+			}
+			at++
+		}
+	}
+	if in, ok := ref.Next(); ok {
+		t.Fatalf("instr %d: NextBatch ended early; Next still yields %+v", at, in)
+	}
 }

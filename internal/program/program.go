@@ -373,7 +373,7 @@ func (p *Program) layout() {
 	carve(segCore, coreLines, func() float64 { return 1 })
 	carve(segOptional, optLines, func() float64 {
 		// Spread around the configured probability for texture.
-		d := p.cfg.OptionalProb + (rng.Float64()-0.5)*0.2
+		d := p.cfg.OptionalProb + float64((float64(rng.Float64())-0.5)*0.2)
 		if d < 0.05 {
 			d = 0.05
 		}
@@ -462,8 +462,15 @@ func (p *Program) assignCalls(rng *RNG) {
 }
 
 // callExpansion is the expected dynamic multiplier from call-outs.
+//
+// Here and wherever this package adds a float product, the product is
+// wrapped in an explicit float64 conversion. The Go spec lets a compiler
+// fuse x*y + z into one fused multiply-add, which rounds once where amd64
+// rounds twice, and arm64 does; the conversion forces the rounding, so plan
+// lengths, layouts and with them every instruction stream are the same on
+// every GOARCH. CI's FMA gate checks the compiled arm64 code.
 func (p *Program) callExpansion() float64 {
-	return 1 + p.cfg.CallFrac*2.5 // mean callee length is 2.5 lines
+	return 1 + float64(p.cfg.CallFrac*2.5) // mean callee length is 2.5 lines
 }
 
 // expectedPassInstrs estimates dynamic instructions in one template pass
@@ -472,11 +479,11 @@ func (p *Program) expectedPassInstrs() int {
 	per := p.cfg.InstrPerLine
 	total := 0.0
 	for _, s := range p.segments {
-		total += float64(s.numLines*per) * s.prob * p.callExpansion()
+		total += float64(float64(s.numLines*per) * s.prob * p.callExpansion())
 	}
 	// Dispatcher re-entry between segments.
 	d := p.segments[p.dispatch]
-	total += float64(len(p.segments)) * float64(d.numLines*per) * 0.25
+	total += float64(float64(len(p.segments)) * float64(d.numLines*per) * 0.25)
 	return int(total)
 }
 

@@ -11,7 +11,7 @@ package program
 // the way real call-heavy runtime code does.
 type Invocation struct {
 	p    *Program
-	rng  RNG
+	gen  opGen
 	id   uint64
 	plan []int // sequence of segment indices
 
@@ -28,10 +28,23 @@ type Invocation struct {
 	haveNext  bool
 	instr     int // instruction index within cur
 
-	emitted  uint64
-	coldPtr  uint64
+	emitted uint64
+	coldPtr uint64
+	done    bool
+
+	// evScratch is NextBatch's event list, which it discards. It is an
+	// array, not a slice grown to the caller's buffer, so NextBatch never
+	// allocates.
+	evScratch [512]uint16
+}
+
+// opGen is the op generator's state: the invocation's RNG and whether the
+// previous op was a load. emitOp and emitMem take and return it by value,
+// so WalkBatch keeps it in a local across a line while Next and WalkBatch
+// still share one generator.
+type opGen struct {
+	rng      RNG
 	prevLoad bool
-	done     bool
 }
 
 // NewInvocation creates the walker for invocation id. Ids are arbitrary;
@@ -51,8 +64,8 @@ func (p *Program) NewInvocation(id uint64) *Invocation {
 //lukewarm:hotpath noalloc the dispatch path pools walkers; a per-invocation allocation here multiplies across the fleet
 func (p *Program) ResetInvocation(inv *Invocation, id uint64) {
 	plan := inv.plan[:0]
-	*inv = Invocation{p: p, id: id, rng: *NewRNG(Mix(p.cfg.Seed, Mix(0x1907, id)))}
-	inv.plan = p.buildPlanInto(plan, &inv.rng)
+	*inv = Invocation{p: p, id: id, gen: opGen{rng: *NewRNG(Mix(p.cfg.Seed, Mix(0x1907, id)))}}
+	inv.plan = p.buildPlanInto(plan, &inv.gen.rng)
 	cur, ok := inv.advanceLine()
 	if !ok {
 		inv.done = true
@@ -77,7 +90,7 @@ func (p *Program) buildPlanInto(plan []int, rng *RNG) []int {
 		if si == p.dispatch {
 			mul = 1 // the dispatcher has no call-outs
 		}
-		est += float64(p.segments[si].numLines) * per * mul
+		est += float64(float64(p.segments[si].numLines) * per * mul)
 	}
 
 	add(p.dispatch)
@@ -158,30 +171,79 @@ func (inv *Invocation) advanceLine() (int, bool) {
 func (inv *Invocation) Emitted() uint64 { return inv.emitted }
 
 // NextBatch fills buf with the next instructions of the stream and returns
-// how many were produced; 0 means the stream has ended. The stream is
-// exactly the one repeated Next calls yield — same instructions, same RNG
-// consumption — so the core's batched fast path is bit-identical to the
-// per-instruction one (internal/check's differential tests enforce this).
+// how many were produced; 0 means the stream has ended. It is WalkBatch
+// with the event list discarded, run a scratch-sized piece of buf at a
+// time.
 //
-// The body inlines Next's common case — a non-terminal instruction of the
-// current code line, which needs no control-transfer decision — and falls
-// back to Next itself for line-terminal instructions, so the two paths
-// share the control-transfer logic rather than duplicating it.
-//
-//lukewarm:hotpath noalloc,noescape the batched generator feeds the core's fetch loop; PR 9's 1.3x lives here
+//lukewarm:hotpath noalloc,noescape the batched generator for callers that need no event list
 func (inv *Invocation) NextBatch(buf []Instr) int {
+	n := 0
+	for n < len(buf) {
+		k := min(len(buf)-n, len(inv.evScratch))
+		got, _ := inv.WalkBatch(buf[n:n+k], inv.evScratch[:k])
+		n += got
+		if got < k {
+			break
+		}
+	}
+	return n
+}
+
+// WalkBatch fills buf with the next instructions of the stream and returns
+// how many were produced, n, and how many events it recorded, ne. It fills
+// buf completely unless the stream ends, so n < len(buf) means the stream
+// has ended. The stream is exactly the one repeated Next calls yield — same
+// instructions, same RNG consumption — so the core's batched path is
+// bit-identical to the per-instruction one (internal/check's differential
+// tests enforce this).
+//
+// ev[:ne] receives the indices into buf, strictly increasing, of every
+// instruction that starts a code line, ends one, or is a load or store: the
+// only instructions that can start a fetch block, transfer control or touch
+// data. The rest are plain mid-line instructions a consumer only has to
+// count. ev must be at least len(buf) long, and len(buf) at most 1<<16 for
+// the indices to fit.
+//
+// The per-line loop inlines Next's common case — a non-terminal
+// instruction of the current line, which needs no control-transfer
+// decision — with the generator state and the line address in locals, and
+// falls back to Next itself for line-terminal instructions, so the two
+// paths share the control-transfer logic rather than duplicating it.
+//
+//lukewarm:hotpath noalloc,noescape the batched generator feeds the core's fetch loop
+func (inv *Invocation) WalkBatch(buf []Instr, ev []uint16) (n, ne int) {
 	p := inv.p
 	last := p.cfg.InstrPerLine - 1
-	stride := p.der.stride
-	n := 0
+	stride, thrMem := p.der.stride, p.der.thrLoadStore
+	ev = ev[:len(buf)]
 	for n < len(buf) && !inv.done {
 		if inv.instr != last {
-			in := &buf[n]
-			*in = Instr{VAddr: p.lineAddr[inv.cur] + uint64(inv.instr)*stride}
-			inv.emitted++
-			inv.emitOp(in)
-			inv.instr++
-			n++
+			k, la, g := inv.instr, p.lineAddr[inv.cur], inv.gen
+			end := min(last, k+len(buf)-n)
+			if k == 0 {
+				// A line start is an event whatever its op.
+				in := &buf[n]
+				*in = Instr{VAddr: la}
+				g = inv.emitOp(g, in)
+				ev[ne] = uint16(n)
+				ne++
+				n++
+				k++
+			}
+			for ; k < end; k++ {
+				in := &buf[n]
+				*in = Instr{VAddr: la + uint64(k)*stride}
+				if u := g.rng.Uint64() >> 11; u >= thrMem {
+					g.prevLoad = false // a plain instruction, Op's zero value
+				} else {
+					g = inv.emitMem(g, u, in)
+					ev[ne] = uint16(n)
+					ne++
+				}
+				n++
+			}
+			inv.emitted += uint64(k - inv.instr)
+			inv.instr, inv.gen = k, g
 			continue
 		}
 		in, ok := inv.Next()
@@ -189,9 +251,11 @@ func (inv *Invocation) NextBatch(buf []Instr) int {
 			break
 		}
 		buf[n] = in
+		ev[ne] = uint16(n) // a line end is an event whatever its op
+		ne++
 		n++
 	}
-	return n
+	return n, ne
 }
 
 // Next produces the next dynamic instruction; ok is false at stream end.
@@ -207,7 +271,7 @@ func (inv *Invocation) Next() (in Instr, ok bool) {
 	inv.emitted++
 
 	if inv.instr != cfg.InstrPerLine-1 {
-		inv.emitOp(&in)
+		inv.gen = inv.emitOp(inv.gen, &in)
 		inv.instr++
 		return in, true
 	}
@@ -231,9 +295,9 @@ func (inv *Invocation) Next() (in Instr, ok bool) {
 			// Dispatch-style transfers (to a segment entry point) may be
 			// indirect: interpreter/JIT dispatch tables.
 			if inv.p.segStart[inv.next] {
-				in.Indirect = inv.rng.Bool(cfg.IndirectFrac)
+				in.Indirect = inv.gen.rng.Bool(cfg.IndirectFrac)
 			}
-		} else if inv.rng.Bool(cfg.SkipFrac) {
+		} else if inv.gen.rng.Bool(cfg.SkipFrac) {
 			// Taken conditional jumping over the next line: per-invocation
 			// control-flow divergence at block granularity.
 			in.Op = OpBranch
@@ -247,22 +311,22 @@ func (inv *Invocation) Next() (in Instr, ok bool) {
 				inv.done = true
 				return in, true
 			}
-		} else if inv.rng.Bool(cfg.NoisyFrac) {
+		} else if inv.gen.rng.Bool(cfg.NoisyFrac) {
 			// Data-dependent 50/50 conditional: the bad-speculation
 			// source. Both outcomes continue at the sequential next line
 			// (the taken path targets the if-body starting there).
 			in.Op = OpBranch
 			in.Cond = true
-			in.Taken = inv.rng.Bool(0.5)
+			in.Taken = inv.gen.rng.Bool(0.5)
 			in.Target = nextAddr
-		} else if inv.rng.Bool(cfg.CondFrac) {
+		} else if inv.gen.rng.Bool(cfg.CondFrac) {
 			// Biased, learnable conditional.
 			in.Op = OpBranch
 			in.Cond = true
-			in.Taken = inv.rng.Bool(inv.p.der.condTaken)
+			in.Taken = inv.gen.rng.Bool(inv.p.der.condTaken)
 			in.Target = nextAddr
 		} else {
-			inv.emitOp(&in)
+			inv.gen = inv.emitOp(inv.gen, &in)
 		}
 	}
 
@@ -273,36 +337,48 @@ func (inv *Invocation) Next() (in Instr, ok bool) {
 	return in, true
 }
 
-// emitOp fills in a non-control instruction: plain, load, or store, with a
-// generated effective address.
+// emitOp fills in a non-control instruction — plain, load, or store, with
+// a generated effective address — from generator state g, and returns the
+// state after it. WalkBatch's per-line loop inlines the plain case and
+// calls emitMem for the rest, drawing exactly as emitOp does.
 //
-//lukewarm:hotpath noalloc,noescape,nobce runs once per generated instruction; threshold compares only
-func (inv *Invocation) emitOp(in *Instr) {
-	der := &inv.p.der
-	u := inv.rng.Uint64() >> 11
-	switch {
-	case u < der.thrLoad:
-		in.Op = OpLoad
-		in.MemAddr = inv.dataAddr()
-		if inv.prevLoad && inv.rng.Uint64()>>11 < der.thrDepLoad {
-			in.DepLoad = true
-		}
-		inv.prevLoad = true
-		return
-	case u < der.thrLoadStore:
-		in.Op = OpStore
-		in.MemAddr = inv.dataAddr()
-	default:
+//lukewarm:hotpath noalloc,noescape,nobce runs for every instruction Next generates and every line start; threshold compares only
+func (inv *Invocation) emitOp(g opGen, in *Instr) opGen {
+	u := g.rng.Uint64() >> 11
+	if u >= inv.p.der.thrLoadStore {
 		in.Op = OpPlain
+		g.prevLoad = false
+		return g
 	}
-	inv.prevLoad = false
+	return inv.emitMem(g, u, in)
+}
+
+// emitMem fills in a load or store for op draw u (below the load-or-store
+// threshold) from generator state g and returns the state after it.
+//
+//lukewarm:hotpath noalloc,noescape,nobce runs once per generated load or store; threshold compares only
+func (inv *Invocation) emitMem(g opGen, u uint64, in *Instr) opGen {
+	if u >= inv.p.der.thrLoad {
+		in.Op = OpStore
+		in.MemAddr, g.rng = inv.dataAddr(g.rng)
+		g.prevLoad = false
+		return g
+	}
+	in.Op = OpLoad
+	in.MemAddr, g.rng = inv.dataAddr(g.rng)
+	if g.prevLoad && g.rng.Uint64()>>11 < inv.p.der.thrDepLoad {
+		in.DepLoad = true
+	}
+	g.prevLoad = true
+	return g
 }
 
 // coldRegionBytes bounds the per-invocation streaming region (request
 // payload buffers), reused across invocations.
 const coldRegionBytes = 256 << 10
 
-// dataAddr generates one effective address from the hot/warm/cold mix.
+// dataAddr generates one effective address from the hot/warm/cold mix,
+// drawing from r, and returns it with r's state after the draws.
 //
 // The hot subset (runtime state) and half of the warm set (long-lived
 // objects, caches, connection state) persist across invocations; the other
@@ -315,13 +391,13 @@ const coldRegionBytes = 256 << 10
 // on stale data.
 //
 //lukewarm:hotpath noalloc,noescape,nobce one effective address per load/store; the magic-divider mods must not spill
-func (inv *Invocation) dataAddr() uint64 {
+func (inv *Invocation) dataAddr(r RNG) (uint64, RNG) {
 	cfg := &inv.p.cfg
 	gen := inv.id & 1
-	u := inv.rng.Uint64() >> 11
+	u := r.Uint64() >> 11
 	switch {
 	case u < inv.p.der.thrHot:
-		return heapBase + inv.p.der.hotDiv.mod(inv.rng.Uint64())&^7
+		return heapBase + inv.p.der.hotDiv.mod(r.Uint64())&^7, r
 	case u < inv.p.der.thrHotCold:
 		inv.coldPtr += lineSize
 		if inv.coldPtr >= coldRegionBytes {
@@ -331,17 +407,17 @@ func (inv *Invocation) dataAddr() uint64 {
 			// Payload buffers drift through their arena at the same rate
 			// as the churned heap (see the warm-half comment below).
 			slide := uint64(cfg.ChurnSlideKB) << 10
-			return coldBase + (inv.id*slide+inv.coldPtr)%(2*coldRegionBytes)
+			return coldBase + (inv.id*slide+inv.coldPtr)%(2*coldRegionBytes), r
 		}
-		return coldBase + gen*coldRegionBytes + inv.coldPtr
+		return coldBase + gen*coldRegionBytes + inv.coldPtr, r
 	default:
 		der := &inv.p.der
 		lo := der.warmLo
 		half := der.warmHalf
-		off := der.warmDiv.mod(inv.rng.Uint64()) &^ 7
-		if inv.rng.Uint64()>>11 < der.thrHalf {
+		off := der.warmDiv.mod(r.Uint64()) &^ 7
+		if r.Uint64()>>11 < der.thrHalf {
 			// Persistent warm half.
-			return heapBase + lo + off
+			return heapBase + lo + off, r
 		}
 		// Churned warm half: the allocator's bump pointer slides a live
 		// window of `half` bytes through a two-generation arena each
@@ -353,7 +429,7 @@ func (inv *Invocation) dataAddr() uint64 {
 		if cfg.ChurnSlideKB > 0 {
 			slide = uint64(cfg.ChurnSlideKB) << 10
 		}
-		return heapBase + lo + half + der.warm2Div.mod(inv.id*slide+off)
+		return heapBase + lo + half + der.warm2Div.mod(inv.id*slide+off), r
 	}
 }
 

@@ -89,7 +89,10 @@ const framePresent = 1
 type AddressSpace struct {
 	alloc  *FrameAllocator
 	chunks []*asChunk // sorted by base
-	last   *asChunk   // last chunk touched: locality makes this hit ~always
+	// memo holds the two chunks touched last, most recent first.
+	// Instruction and data translations alternate between the code chunk
+	// and a heap chunk, which a one-entry memo would miss on every switch.
+	memo   [2]*asChunk
 	mapped int
 	// pages caches the sorted mapped-vpage slice Pages returns; nil when a
 	// new mapping or a Compact invalidated it.
@@ -107,7 +110,11 @@ func NewAddressSpace(alloc *FrameAllocator) *AddressSpace {
 // nil otherwise.
 func (as *AddressSpace) chunkFor(vp uint64, grow bool) *asChunk {
 	base := vp &^ uint64(chunkMask)
-	if c := as.last; c != nil && c.base == base {
+	if c := as.memo[0]; c != nil && c.base == base {
+		return c
+	}
+	if c := as.memo[1]; c != nil && c.base == base {
+		as.memo[0], as.memo[1] = c, as.memo[0]
 		return c
 	}
 	// Binary search the sorted chunk list.
@@ -121,8 +128,8 @@ func (as *AddressSpace) chunkFor(vp uint64, grow bool) *asChunk {
 		}
 	}
 	if lo < len(as.chunks) && as.chunks[lo].base == base {
-		as.last = as.chunks[lo]
-		return as.last
+		as.memo[0], as.memo[1] = as.chunks[lo], as.memo[0]
+		return as.memo[0]
 	}
 	if !grow {
 		return nil
@@ -133,7 +140,7 @@ func (as *AddressSpace) chunkFor(vp uint64, grow bool) *asChunk {
 	as.chunks = append(as.chunks, nil)
 	copy(as.chunks[lo+1:], as.chunks[lo:])
 	as.chunks[lo] = c
-	as.last = c
+	as.memo[0], as.memo[1] = c, as.memo[0]
 	return c
 }
 
@@ -144,7 +151,7 @@ func (as *AddressSpace) chunkFor(vp uint64, grow bool) *asChunk {
 //lukewarm:hotpath noalloc,nobce the chunked-frame fast path replaced the flat map in PR 9; every access translates here
 func (as *AddressSpace) Translate(vaddr uint64) uint64 {
 	vp := PageOf(vaddr)
-	c := as.last
+	c := as.memo[0]
 	if c == nil || c.base != vp&^uint64(chunkMask) {
 		c = as.chunkFor(vp, true)
 	}
