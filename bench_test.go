@@ -3,6 +3,7 @@ package lukewarm
 import (
 	"testing"
 
+	"lukewarm/internal/experiments"
 	"lukewarm/internal/workload"
 )
 
@@ -21,7 +22,7 @@ var benchOpt = ExperimentOptions{
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if Table1().NumRows() == 0 {
+		if experiments.Table1().NumRows() == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -29,7 +30,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if Table2().NumRows() != 20 {
+		if experiments.Table2().NumRows() != 20 {
 			b.Fatal("wrong suite size")
 		}
 	}
@@ -38,7 +39,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFig1(b *testing.B) {
 	var saturated float64
 	for i := 0; i < b.N; i++ {
-		r, err := Fig1(ExperimentOptions{Warmup: 1, Measure: 1})
+		r, err := experiments.Fig1(ExperimentOptions{Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	var uplift float64
 	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
+		r, err := experiments.Characterize(benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func BenchmarkFig2(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
+		r, err := experiments.Characterize(benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
+		r, err := experiments.Characterize(benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func BenchmarkFig4(b *testing.B) {
 
 func BenchmarkFig5a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
+		r, err := experiments.Characterize(benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func BenchmarkFig5a(b *testing.B) {
 
 func BenchmarkFig5b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Characterize(benchOpt)
+		r, err := experiments.Characterize(benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func BenchmarkFig5b(b *testing.B) {
 func BenchmarkFig6a(b *testing.B) {
 	var meanKB float64
 	for i := 0; i < b.N; i++ {
-		r, err := Footprints(ExperimentOptions{Functions: benchOpt.Functions}, 8)
+		r, err := experiments.Footprints(ExperimentOptions{Functions: benchOpt.Functions}, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func BenchmarkFig6a(b *testing.B) {
 func BenchmarkFig6b(b *testing.B) {
 	var high float64
 	for i := 0; i < b.N; i++ {
-		r, err := Footprints(ExperimentOptions{Functions: benchOpt.Functions}, 8)
+		r, err := experiments.Footprints(ExperimentOptions{Functions: benchOpt.Functions}, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func BenchmarkFig6b(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		r, err := Fig8(ExperimentOptions{Functions: benchOpt.Functions, Measure: 1}, 16)
+		r, err := experiments.Fig8(ExperimentOptions{Functions: benchOpt.Functions, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	var g16 float64
 	for i := 0; i < b.N; i++ {
-		r, err := Fig9(ExperimentOptions{Functions: workload.Representatives(), Warmup: 1, Measure: 1})
+		r, err := experiments.Fig9(ExperimentOptions{Functions: workload.Representatives(), Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	var jb, pf float64
 	for i := 0; i < b.N; i++ {
-		r, err := Performance(benchOpt)
+		r, err := experiments.Performance(benchOpt, SkylakeConfig(), DefaultJukeboxConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var cov float64
 	for i := 0; i < b.N; i++ {
-		r, err := Performance(benchOpt)
+		r, err := experiments.Performance(benchOpt, SkylakeConfig(), DefaultJukeboxConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func BenchmarkFig11(b *testing.B) {
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := Performance(benchOpt)
+		r, err := experiments.Performance(benchOpt, SkylakeConfig(), DefaultJukeboxConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	var jb, ideal float64
 	for i := 0; i < b.N; i++ {
-		r, err := Fig13(ExperimentOptions{Functions: workload.Representatives(), Warmup: 1, Measure: 1})
+		r, err := experiments.Fig13(ExperimentOptions{Functions: workload.Representatives(), Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func BenchmarkFig13(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	var bdw float64
 	for i := 0; i < b.N; i++ {
-		r, err := Table3(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Warmup: 1, Measure: 1})
+		r, err := experiments.Table3(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func BenchmarkTable3(b *testing.B) {
 
 func BenchmarkAblationCRRB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := CRRBAblation(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Measure: 1})
+		r, err := experiments.CRRBAblation(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func BenchmarkAblationCRRB(b *testing.B) {
 func BenchmarkAblationCompaction(b *testing.B) {
 	var virt float64
 	for i := 0; i < b.N; i++ {
-		r, err := Compaction(ExperimentOptions{Functions: []string{"Auth-G"}, Warmup: 1, Measure: 1})
+		r, err := experiments.Compaction(ExperimentOptions{Functions: []string{"Auth-G"}, Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 func BenchmarkExtensionSnapshot(b *testing.B) {
 	var sp float64
 	for i := 0; i < b.N; i++ {
-		r, err := Snapshot(ExperimentOptions{Functions: []string{"Auth-G", "ProdL-G"}, Warmup: 1, Measure: 1})
+		r, err := experiments.Snapshot(ExperimentOptions{Functions: []string{"Auth-G", "ProdL-G"}, Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func BenchmarkExtensionSnapshot(b *testing.B) {
 func BenchmarkExtensionBaselines(b *testing.B) {
 	var recap float64
 	for i := 0; i < b.N; i++ {
-		r, err := Baselines(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Warmup: 1, Measure: 1})
+		r, err := experiments.Baselines(ExperimentOptions{Functions: []string{"Auth-G", "Email-P"}, Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,7 +274,7 @@ func BenchmarkExtensionBaselines(b *testing.B) {
 func BenchmarkExtensionServerSim(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		r, err := ServerSim(ExperimentOptions{Warmup: 1, Measure: 1,
+		r, err := experiments.ServerSim(ExperimentOptions{Warmup: 1, Measure: 1,
 			Functions: []string{"Auth-G", "Email-P", "Pay-N", "Geo-G", "Prof-G", "Curr-N", "RecO-P", "ProdL-G"}})
 		if err != nil {
 			b.Fatal(err)
@@ -287,7 +288,7 @@ func BenchmarkExtensionServerSim(b *testing.B) {
 func BenchmarkExtensionScaling(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		r, err := Scaling(ExperimentOptions{Warmup: 1, Measure: 1})
+		r, err := experiments.Scaling(ExperimentOptions{Warmup: 1, Measure: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,20 +52,6 @@ func ExampleSuite() {
 	// Python: 5 NodeJS: 5 Go: 10
 }
 
-// ExampleFig8 measures Jukebox's metadata requirement for one function and
-// confirms the paper's 1 KB region-size optimum.
-func ExampleFig8() {
-	opt := lukewarm.ExperimentOptions{Functions: []string{"Email-P"}, Measure: 1}
-	r, err := lukewarm.Fig8(opt, 16)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("best region size:", r.BestRegionSize(), "bytes")
-	// Output:
-	// best region size: 1024 bytes
-}
-
 // ExampleCaptureTrace round-trips an invocation through the binary trace
 // format.
 func ExampleCaptureTrace() {

@@ -7,10 +7,11 @@ import (
 )
 
 // FloatEq flags `==` and `!=` between floating-point operands in simulation
-// code. The golden-figure gates hold tables to tolerance bands precisely
-// because float arithmetic accumulates rounding that varies with evaluation
-// order; an exact comparison in the stack silently encodes an assumption
-// those gates exist to catch. Use the tolerance helpers in internal/stats
+// code. Float arithmetic accumulates rounding that varies with evaluation
+// order, so an exact comparison in the stack silently encodes an assumption
+// about that order; the golden-figure gates hold every table cell to an
+// exact match and would show a flipped comparison only as an unexplained
+// figure change. Use the tolerance helpers in internal/stats
 // (stats.ApproxEqual / stats.Near), or waive a deliberate exact comparison
 // (sentinel zeros, integer-valued identities) with
 // `//lukewarm:floateq <reason>`.

@@ -15,9 +15,9 @@
 //     bit-identical to no Jukebox, the Top-Down stack sums to the measured
 //     cycles, and ServeTraffic conserves invocations.
 //   - Golden-figure regression (golden.go, golden_test.go): canonical
-//     small-config runs of every experiment, snapshotted under
-//     testdata/golden with explicit tolerance bands and refreshed via
-//     `go test ./internal/check -run Golden -update`.
+//     small-config runs of every entry of the experiment registry,
+//     snapshotted under testdata/golden, held to an exact match cell by
+//     cell, and refreshed via `go test ./internal/check -run Golden -update`.
 //
 // The oracle and property layers run in plain unit tests and behind the
 // `lukewarm check` subcommand (Run); the golden layer is test-only because

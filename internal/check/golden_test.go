@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"lukewarm/internal/core"
-	"lukewarm/internal/cpu"
 	"lukewarm/internal/experiments"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/stats"
@@ -29,106 +27,20 @@ func goldenOpts(eng *runner.Engine) experiments.Options {
 		Measure:   2,
 		Functions: []string{"Auth-G", "Email-P"},
 		Engine:    eng,
+		Seed:      42,
 	}
 }
 
-// goldenCase is one experiment of the regression harness.
-type goldenCase struct {
-	name   string
-	tables func(opt experiments.Options) ([]*stats.Table, error)
+// footprints is the one experiment snapshotted apart from the registry:
+// its snapshots were taken at 5 traced invocations, where the fig6 entry
+// traces the paper's 25.
+func footprints(o experiments.Options) (experiments.Output, error) {
+	r, err := experiments.Footprints(o, 5)
+	return experiments.Output{Tables: []*stats.Table{r.Fig6aTable(), r.Fig6bTable()}}, err
 }
 
-func one(t *stats.Table, err error) ([]*stats.Table, error) { return []*stats.Table{t}, err }
-
-// goldenCases enumerates every experiment's canonical tables.
-func goldenCases() []goldenCase {
-	return []goldenCase{
-		{"fig1", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig1(o)
-			return one(r.Table(), err)
-		}},
-		{"characterization", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Characterize(o)
-			return []*stats.Table{r.Fig2Table(), r.Fig3Table(), r.Fig4Table(),
-				r.Fig5aTable(), r.Fig5bTable()}, err
-		}},
-		{"footprints", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Footprints(o, 5)
-			return []*stats.Table{r.Fig6aTable(), r.Fig6bTable()}, err
-		}},
-		{"fig8", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig8(o, 16)
-			return one(r.Table(), err)
-		}},
-		{"fig9", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig9(o)
-			return one(r.Table(), err)
-		}},
-		{"performance", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Performance(o, cpu.SkylakeConfig(), core.DefaultConfig())
-			return []*stats.Table{r.Fig10Table(), r.Fig11Table(), r.Fig12Table()}, err
-		}},
-		{"fig13", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Fig13(o)
-			return one(r.Table(), err)
-		}},
-		{"table3", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Table3(o)
-			return one(r.Table(), err)
-		}},
-		{"crrb-ablation", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.CRRBAblation(o)
-			return one(r.Table(), err)
-		}},
-		{"compaction", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Compaction(o)
-			return one(r.Table(), err)
-		}},
-		{"snapshot", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Snapshot(o)
-			return one(r.Table(), err)
-		}},
-		{"dynamic-metadata", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.DynamicMetadata(o)
-			return one(r.Table(), err)
-		}},
-		{"baselines", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Baselines(o)
-			return one(r.Table(), err)
-		}},
-		{"server-sim", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.ServerSim(o)
-			return one(r.Table(), err)
-		}},
-		{"scaling", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Scaling(o)
-			return one(r.Table(), err)
-		}},
-		{"sched", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Sched(o)
-			return []*stats.Table{r.Table(), r.KeepAliveTable(), r.PerFuncTable()}, err
-		}},
-		{"chaos", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Chaos(o, 42)
-			return one(r.Table(), err)
-		}},
-		{"cluster", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Cluster(o)
-			return []*stats.Table{r.Table(), r.LatencyTable()}, err
-		}},
-		{"coldstart", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Coldstart(o)
-			return []*stats.Table{r.Table(), r.CrossoverTable(), r.StalenessTable()}, err
-		}},
-		{"prewarm", func(o experiments.Options) ([]*stats.Table, error) {
-			r, err := experiments.Prewarm(o)
-			return one(r.Table(), err)
-		}},
-	}
-}
-
-// TestGoldenExperiments regenerates every experiment's canonical tables and
-// holds them to the checked-in snapshots (or refreshes the snapshots with
+// TestGoldenExperiments regenerates every registry entry's tables and holds
+// them to the checked-in snapshots (or refreshes the snapshots with
 // -update). One engine spans all experiments, as in the CLI, so shared cells
 // are simulated once.
 func TestGoldenExperiments(t *testing.T) {
@@ -137,18 +49,24 @@ func TestGoldenExperiments(t *testing.T) {
 	}
 	eng := runner.Default()
 	seen := map[string]string{}
-	for _, gc := range goldenCases() {
-		t.Run(gc.name, func(t *testing.T) {
-			tables, err := gc.tables(goldenOpts(eng))
+	for _, e := range experiments.All() {
+		if e.Name == "fig6" {
+			e.Name, e.Run = "footprints", footprints
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			out, err := e.Run(goldenOpts(eng))
 			if err != nil {
-				t.Fatalf("running %s: %v", gc.name, err)
+				t.Fatalf("running %s: %v", e.Name, err)
 			}
-			for _, tb := range tables {
+			if len(out.Tables) != len(e.Tables) {
+				t.Fatalf("%s returned %d tables, declares %d", e.Name, len(out.Tables), len(e.Tables))
+			}
+			for _, tb := range out.Tables {
 				path := filepath.Join("testdata", "golden", tb.Slug()+".json")
 				if prev, dup := seen[path]; dup {
-					t.Fatalf("table slug collision: %s and %s both map to %s", prev, gc.name, path)
+					t.Fatalf("table slug collision: %s and %s both map to %s", prev, e.Name, path)
 				}
-				seen[path] = gc.name
+				seen[path] = e.Name
 				if *update {
 					g, err := Snapshot(tb)
 					if err != nil {

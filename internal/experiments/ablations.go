@@ -53,7 +53,7 @@ func Compaction(opt Options) (CompactionResult, error) {
 			cells = append(cells, c)
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execCompaction)
+	ms, err := opt.Engine.MeasureFunc(cells, execCompaction)
 	if err != nil {
 		return out, err
 	}
@@ -137,7 +137,7 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 			opt.variantCell("snapshot-cold", w.Name, cpu.SkylakeConfig(), nil, lukewarm),
 			replay)
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execSnapshot)
+	ms, err := opt.Engine.MeasureFunc(cells, execSnapshot)
 	if err != nil {
 		return out, err
 	}
@@ -234,7 +234,7 @@ func DynamicMetadata(opt Options) (DynamicMetadataResult, error) {
 			opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm),
 			opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &sizing, lukewarm))
 	}
-	ms1, err := opt.engine().MeasureFunc(phase1, execRecordOnly)
+	ms1, err := opt.Engine.MeasureFunc(phase1, execRecordOnly)
 	if err != nil {
 		return out, err
 	}
@@ -253,7 +253,7 @@ func DynamicMetadata(opt Options) (DynamicMetadataResult, error) {
 			opt.cell(w.Name, cpu.SkylakeConfig(), &fixedJB, false, lukewarm),
 			opt.cell(w.Name, cpu.SkylakeConfig(), &dynJB, false, lukewarm))
 	}
-	ms2, err := opt.engine().Measure(phase2)
+	ms2, err := opt.Engine.Measure(phase2)
 	if err != nil {
 		return out, err
 	}

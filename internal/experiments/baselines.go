@@ -106,7 +106,7 @@ func Baselines(opt Options) (BaselinesResult, error) {
 			cells = append(cells, opt.variantCell("baseline-"+cfg, w.Name, cpu.SkylakeConfig(), jb, lukewarm))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execBaseline)
+	ms, err := opt.Engine.MeasureFunc(cells, execBaseline)
 	if err != nil {
 		return out, err
 	}

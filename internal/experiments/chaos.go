@@ -48,12 +48,12 @@ type ChaosResult struct {
 }
 
 // Chaos sweeps every fault kind across the representative functions (or
-// opt.Functions when set), one deterministic seeded plan per cell. A cell
-// that panics is caught and reported as FAIL — the sweep itself always
-// completes.
-func Chaos(opt Options, seed uint64) (ChaosResult, error) {
+// opt.Functions when set), one deterministic plan per cell seeded from
+// opt.Seed. A cell that panics is caught and reported as FAIL — the sweep
+// itself always completes.
+func Chaos(opt Options) (ChaosResult, error) {
 	opt = opt.withDefaults()
-	out := ChaosResult{Seed: seed}
+	out := ChaosResult{Seed: opt.Seed}
 	fns := opt.Functions
 	if len(fns) == 0 {
 		fns = workload.Representatives()
@@ -61,7 +61,7 @@ func Chaos(opt Options, seed uint64) (ChaosResult, error) {
 	// One engine job per function: each runs the full fault matrix against
 	// its own servers, so functions sweep concurrently while the cell order
 	// within a function stays fixed.
-	rows, err := runner.MapOn(opt.engine(), len(fns),
+	rows, err := runner.MapOn(opt.Engine, len(fns),
 		func(i int) string { return fns[i] + "/chaos" },
 		func(i int) ([]ChaosCell, error) {
 			w, err := workload.ByName(fns[i])
@@ -74,7 +74,7 @@ func Chaos(opt Options, seed uint64) (ChaosResult, error) {
 			baseCPI := base.RunLukewarm(base.Deploy(w), 4).CPI()
 			var cells []ChaosCell
 			for _, k := range faults.Kinds() {
-				cells = append(cells, chaosCell(w, k, seed, baseCPI))
+				cells = append(cells, chaosCell(w, k, opt.Seed, baseCPI))
 			}
 			return cells, nil
 		})

@@ -56,7 +56,7 @@ func Fig1(opt Options) (Fig1Result, error) {
 			cells = append(cells, opt.variantCell(variant, name, cpu.CharacterizationConfig(), nil, reference))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (measured, error) {
+	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (measured, error) {
 		w, err := workload.ByName(c.Workload)
 		if err != nil {
 			return measured{}, err
@@ -154,7 +154,7 @@ func Characterize(opt Options) (CharacterizationResult, error) {
 			opt.cell(w.Name, cfg, nil, false, reference),
 			opt.cell(w.Name, cfg, nil, false, lukewarm))
 	}
-	ms, err := opt.engine().Measure(cells)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

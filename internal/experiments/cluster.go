@@ -198,7 +198,7 @@ func Cluster(opt Options) (ClusterResult, error) {
 		byVariant[sp.variant()] = sp
 	}
 
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
+	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
 		sp := byVariant[c.Variant]
 		var ws []workload.Workload
 		for _, name := range strings.Split(c.Workload, "+") {

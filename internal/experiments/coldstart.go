@@ -283,7 +283,7 @@ func Coldstart(opt Options) (ColdstartResult, error) {
 			cells = append(cells, c)
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execColdstart)
+	ms, err := opt.Engine.MeasureFunc(cells, execColdstart)
 	if err != nil {
 		return out, err
 	}

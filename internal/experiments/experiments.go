@@ -24,12 +24,8 @@ type Options struct {
 	// the reference configuration's caches and record the first Jukebox
 	// metadata generation (standing in for the paper's 20000-invocation
 	// functional warm-up and checkpoint). Zero selects the default of 2;
-	// request an explicitly unwarmed run with NoWarmup (a negative Warmup is
-	// honored as "none" for backward compatibility).
+	// a negative value requests no warm-up.
 	Warmup int
-	// NoWarmup requests zero warm-up invocations. The flag exists because
-	// Warmup's zero value means "default", so 0 alone cannot express "none".
-	NoWarmup bool
 	// Measure is the number of measured invocations per configuration.
 	Measure int
 	// Functions restricts the suite to the named functions (nil = all 20).
@@ -43,11 +39,13 @@ type Options struct {
 	// the CLI shares one configured engine across all experiments so the
 	// cache and telemetry span the whole run.
 	Engine *runner.Engine
+	// Seed seeds the chaos experiment's fault plans.
+	Seed uint64
 }
 
 func (o Options) withDefaults() Options {
 	switch {
-	case o.NoWarmup || o.Warmup < 0:
+	case o.Warmup < 0:
 		o.Warmup = 0
 	case o.Warmup == 0:
 		o.Warmup = 2
@@ -60,9 +58,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// engine returns the run's execution engine (withDefaults guarantees one).
-func (o Options) engine() *runner.Engine { return o.Engine }
 
 // cell describes one standard measurement with the run's window settings.
 func (o Options) cell(w string, cfg cpu.Config, jb *core.Config, perfect bool, md mode) runner.Cell {

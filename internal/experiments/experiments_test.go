@@ -29,15 +29,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	o = Options{Warmup: -1}.withDefaults()
 	if o.Warmup != 0 {
-		t.Errorf("legacy negative no-warmup = %+v", o)
-	}
-	o = Options{NoWarmup: true}.withDefaults()
-	if o.Warmup != 0 {
-		t.Errorf("NoWarmup = %+v", o)
-	}
-	o = Options{NoWarmup: true, Warmup: 5}.withDefaults()
-	if o.Warmup != 0 {
-		t.Errorf("NoWarmup overrides explicit warmup: %+v", o)
+		t.Errorf("negative warmup = %+v", o)
 	}
 	o = Options{Warmup: 7}.withDefaults()
 	if o.Warmup != 7 {
@@ -196,7 +188,7 @@ func TestFootprintsMatchFig6(t *testing.T) {
 }
 
 func TestFig8MinimumAtOneKB(t *testing.T) {
-	r, err := Fig8(Options{Functions: []string{"Auth-G", "Email-P", "Pay-N"}, Measure: 1}, 16)
+	r, err := Fig8(Options{Functions: []string{"Auth-G", "Email-P", "Pay-N"}, Measure: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func Footprints(opt Options, invocations int) (FootprintResult, error) {
 	if err != nil {
 		return out, err
 	}
-	rows, err := runner.MapOn(opt.engine(), len(suite),
+	rows, err := runner.MapOn(opt.Engine, len(suite),
 		func(i int) string { return suite[i].Name + "/footprint" },
 		func(i int) (FootprintRow, error) {
 			w := suite[i]

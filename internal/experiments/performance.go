@@ -105,7 +105,7 @@ func Performance(opt Options, platform cpu.Config, jbCfg core.Config) (PerfResul
 			opt.cell(w.Name, platform, &jbCfg, false, lukewarm),
 			opt.cell(w.Name, platform, nil, true, lukewarm))
 	}
-	ms, err := opt.engine().Measure(cells)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
@@ -244,7 +244,7 @@ func Fig9(opt Options) (Fig9Result, error) {
 			cells = append(cells, opt.cell(w.Name, cpu.SkylakeConfig(), &cfg, false, lukewarm))
 		}
 	}
-	ms, err := opt.engine().Measure(cells)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

@@ -99,7 +99,7 @@ func Fig13(opt Options) (Fig13Result, error) {
 			cells = append(cells, pifCell(opt, w.Name, cfg))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execPIF)
+	ms, err := opt.Engine.MeasureFunc(cells, execPIF)
 	if err != nil {
 		return out, err
 	}

@@ -52,7 +52,7 @@ func Table3(opt Options) (Table3Result, error) {
 				opt.cell(w.Name, p.cfg, &cfg, false, lukewarm))
 		}
 	}
-	ms, err := opt.engine().Measure(cells)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

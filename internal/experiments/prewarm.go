@@ -239,7 +239,7 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		cells = append(cells, opt.variantCell("prewarm-warm", fn, cpu.SkylakeConfig(), nil, reference))
 	}
 
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
+	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
 		if c.Variant == "prewarm-warm" {
 			return execPrewarmWarm(c)
 		}

@@ -47,7 +47,7 @@ func Scaling(opt Options) (ScalingResult, error) {
 	// Each (cores, config) traffic simulation is independent; fan all six out.
 	// Traffic results are distributions, not Measurements, so they bypass the
 	// result cache.
-	trs, err := runner.MapOn(opt.engine(), 2*len(coreCounts),
+	trs, err := runner.MapOn(opt.Engine, 2*len(coreCounts),
 		func(i int) string {
 			label := "base"
 			if i%2 == 1 {

@@ -229,7 +229,7 @@ func Sched(opt Options) (SchedResult, error) {
 		byVariant[sp.variant()] = sp
 	}
 
-	ms, err := opt.engine().MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
+	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
 		sp := byVariant[c.Variant]
 		cores := schedKACores
 		if sp.sweep == "place" {

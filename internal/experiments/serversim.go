@@ -43,7 +43,7 @@ func ServerSim(opt Options) (ServerSimResult, error) {
 	}
 	// The two configurations are independent full-server simulations; run
 	// them as two engine jobs (distributions bypass the result cache).
-	trs, err := runner.MapOn(opt.engine(), 2,
+	trs, err := runner.MapOn(opt.Engine, 2,
 		func(i int) string {
 			if i == 0 {
 				return "serversim/base"

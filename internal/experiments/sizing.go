@@ -52,24 +52,22 @@ type Fig8Row struct {
 	BytesByRegion map[int]int
 }
 
-// Fig8Result backs Fig. 8 (and the CRRB-size ablation when run with
-// different CRRB sizes).
+// Fig8Result backs Fig. 8.
 type Fig8Result struct {
 	RegionSizes []int
-	CRRBEntries int
 	Rows        []Fig8Row
 }
 
+// fig8CRRBEntries is the CRRB size of the paper's Fig. 8 plot.
+const fig8CRRBEntries = 16
+
 // Fig8 measures the metadata required to record one full lukewarm
-// invocation of each function, across code-region sizes, with the given
-// CRRB size (16 in the paper's plot).
-func Fig8(opt Options, crrbEntries int) (Fig8Result, error) {
+// invocation of each function, across code-region sizes, with the paper's
+// 16-entry CRRB.
+func Fig8(opt Options) (Fig8Result, error) {
 	opt = opt.withDefaults()
-	if crrbEntries <= 0 {
-		crrbEntries = 16
-	}
 	regions := []int{128, 256, 512, 1024, 2048, 4096, 8192}
-	out := Fig8Result{RegionSizes: regions, CRRBEntries: crrbEntries}
+	out := Fig8Result{RegionSizes: regions}
 	suite, err := opt.suite()
 	if err != nil {
 		return out, err
@@ -77,11 +75,11 @@ func Fig8(opt Options, crrbEntries int) (Fig8Result, error) {
 	var cells []runner.Cell
 	for _, w := range suite {
 		for _, rs := range regions {
-			jb := recordJB(rs, crrbEntries)
+			jb := recordJB(rs, fig8CRRBEntries)
 			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execRecordOnly)
+	ms, err := opt.Engine.MeasureFunc(cells, execRecordOnly)
 	if err != nil {
 		return out, err
 	}
@@ -118,7 +116,7 @@ func (r Fig8Result) Table() *stats.Table {
 		hdr = append(hdr, fmt.Sprintf("%dB", rs))
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("Figure 8: metadata size (KB) vs region size, CRRB=%d", r.CRRBEntries), hdr...)
+		fmt.Sprintf("Figure 8: metadata size (KB) vs region size, CRRB=%d", fig8CRRBEntries), hdr...)
 	sums := make([]stats.Summary, len(r.RegionSizes))
 	for _, row := range r.Rows {
 		cells := []string{row.Name}
@@ -160,7 +158,7 @@ func CRRBAblation(opt Options) (CRRBAblationResult, error) {
 			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm))
 		}
 	}
-	ms, err := opt.engine().MeasureFunc(cells, execRecordOnly)
+	ms, err := opt.Engine.MeasureFunc(cells, execRecordOnly)
 	if err != nil {
 		return out, err
 	}

@@ -2,8 +2,9 @@ package lukewarm
 
 import (
 	"errors"
-	"strings"
 	"testing"
+
+	"lukewarm/internal/experiments"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -101,31 +102,35 @@ func TestFacadeTopDownAccessors(t *testing.T) {
 	}
 }
 
+// experiment looks a registry entry up by name through the facade.
+func experiment(t *testing.T, name string) Experiment {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.Name == name {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return Experiment{}
+}
+
 func TestFacadeExperimentWrappers(t *testing.T) {
 	opt := ExperimentOptions{Functions: []string{"Auth-G"}, Warmup: 1, Measure: 1, Audit: true}
-	if Table1().NumRows() == 0 || Table2().NumRows() != 20 {
-		t.Error("static tables broken")
+	for name, wantRows := range map[string]int{"table1": 8, "table2": 20, "fig8": 2} {
+		out, err := experiment(t, name).Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Tables) != 1 || out.Tables[0].NumRows() != wantRows {
+			t.Errorf("%s: %d tables, want one with %d rows", name, len(out.Tables), wantRows)
+		}
 	}
-	fp, err := Footprints(opt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := fp.Fig6aTable().String(); !strings.Contains(out, "Auth-G") {
-		t.Error("Footprints wrapper broken")
-	}
-	f8, err := Fig8(opt, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := f8.Table().String(); !strings.Contains(out, "Auth-G") {
-		t.Error("Fig8 wrapper broken")
-	}
-	perf, err := PerformanceOn(opt, BroadwellConfig(), DefaultJukeboxConfig())
+	perf, err := experiments.Performance(opt, BroadwellConfig(), DefaultJukeboxConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perf.Platform != "Broadwell-like" {
-		t.Errorf("PerformanceOn platform = %q", perf.Platform)
+		t.Errorf("Performance platform = %q", perf.Platform)
 	}
 }
 
@@ -169,14 +174,11 @@ func TestFacadeFaultSurface(t *testing.T) {
 }
 
 func TestFacadeChaosQuick(t *testing.T) {
-	r, err := Chaos(ExperimentOptions{Functions: []string{"Auth-G"}}, 17)
+	out, err := experiment(t, "chaos").Run(ExperimentOptions{Functions: []string{"Auth-G"}, Seed: 17})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\n%s", err, out.Tables[0])
 	}
-	if got := len(r.Cells); got != len(FaultKinds()) {
+	if got := out.Tables[0].NumRows(); got != len(FaultKinds()) {
 		t.Fatalf("cells = %d, want %d", got, len(FaultKinds()))
-	}
-	if n := r.Failures(); n != 0 {
-		t.Errorf("%d chaos cells failed:\n%s", n, r.Table())
 	}
 }
