@@ -21,20 +21,22 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lukewarmlint ./...
 
-# fmagate cross-compiles the CLI for arm64 and fails if the walker, the core,
-# the MMU or the caches contain a fused multiply-add. The Go spec lets arm64
+# fmagate cross-compiles the CLI for arm64 and fails if a package that holds
+# simulation state contains a fused multiply-add: the walker, the core, the
+# MMU, the caches, the scheduler, the forecasters, the server, the fleet,
+# the fault plans and auditors, and the statistics. The Go spec lets arm64
 # fuse x*y + z, rounding once where amd64 rounds twice, so a fused op there
-# could change instruction streams or timings across GOARCH; an explicit
-# float64(...) conversion around the product prevents it. The other packages
-# are not gated yet.
+# could change instruction streams, timings or arrival gaps across GOARCH;
+# an explicit float64(...) conversion around the product prevents it. The
+# experiment table renderers are not gated yet.
 fmagate:
 	GOARCH=arm64 $(GO) build -o .lukewarm-arm64 ./cmd/lukewarm
 	$(GO) tool objdump .lukewarm-arm64 > .lukewarm-arm64.s
 	@grep -q '^TEXT lukewarm/internal/program[.]' .lukewarm-arm64.s || { echo "fmagate: no internal/program code in the disassembly"; exit 1; }
-	@fused=$$(awk '/^TEXT /{fn=$$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/{print fn}' .lukewarm-arm64.s | grep -E '^lukewarm/internal/(program|cpu|vm|mem)[.]' | sort | uniq -c); \
+	@fused=$$(awk '/^TEXT /{fn=$$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/{print fn}' .lukewarm-arm64.s | grep -E '^lukewarm/internal/(program|cpu|vm|mem|sched|predict|serverless|cluster|faults|stats)[.]' | sort | uniq -c); \
 	rm -f .lukewarm-arm64 .lukewarm-arm64.s; \
 	if [ -n "$$fused" ]; then echo "fused multiply-adds (count, function):"; echo "$$fused"; exit 1; fi; \
-	echo "fmagate: no fused multiply-adds in internal/{program,cpu,vm,mem}"
+	echo "fmagate: no fused multiply-adds in internal/{program,cpu,vm,mem,sched,predict,serverless,cluster,faults,stats}"
 
 # bench captures the performance trajectory: the fleet-simulation benchmarks,
 # the raw simulator-throughput benchmark, the REAP restore path, the arrival

@@ -641,8 +641,9 @@ func (r *run) attemptFailed(e event, first bool) {
 	r.res.FailedAttempts++
 	if e.attempt < r.cfg.RetryMax {
 		r.res.Retries++
-		backoff := r.cfg.RetryBackoffMs * float64(uint64(1)<<uint(e.attempt))
-		backoff += r.jitterRNG.Float64() * backoff / 2
+		// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
+		backoff := float64(r.cfg.RetryBackoffMs * float64(uint64(1)<<uint(e.attempt)))
+		backoff += float64(r.jitterRNG.Float64() * backoff / 2)
 		at := e.at + mem.Cycle(backoff*r.cyclesPerMs)
 		if at <= e.at {
 			at = e.at + 1

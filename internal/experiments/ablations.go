@@ -46,14 +46,14 @@ func Compaction(opt Options) (CompactionResult, error) {
 		for _, w := range suite {
 			jb := core.DefaultConfig()
 			jb.UsePhysicalAddresses = label == "physical"
-			c := opt.variantCell("compact-"+label, w.Name, cpu.SkylakeConfig(), &jb, lukewarm)
+			c := opt.variantCell("compact-"+label, w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execCompaction)
 			// Measure exactly the first post-compaction invocation: later
 			// ones re-record valid addresses and would mask the effect.
 			c.Measure = 1
 			cells = append(cells, c)
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execCompaction)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
@@ -78,11 +78,8 @@ func Compaction(opt Options) (CompactionResult, error) {
 
 // execCompaction executes "compact-<mode>" cells: record metadata over the
 // cell's warm-up invocations, migrate every page, then measure the first
-// post-compaction invocation. Untagged baseline cells run standard.
+// post-compaction invocation.
 func execCompaction(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
@@ -130,14 +127,14 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 	var cells []runner.Cell
 	for _, w := range suite {
 		jb := core.DefaultConfig()
-		replay := opt.variantCell("snapshot-replay", w.Name, cpu.SkylakeConfig(), &jb, lukewarm)
+		replay := opt.variantCell("snapshot-replay", w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execSnapshotReplay)
 		rc := reap.DefaultConfig()
 		replay.Reap = &rc
 		cells = append(cells,
-			opt.variantCell("snapshot-cold", w.Name, cpu.SkylakeConfig(), nil, lukewarm),
+			opt.variantCell("snapshot-cold", w.Name, cpu.SkylakeConfig(), nil, lukewarm, execSnapshotCold),
 			replay)
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execSnapshot)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
@@ -152,41 +149,44 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 	return out, nil
 }
 
-// execSnapshot executes the snapshot study's cells. "snapshot-cold" measures
-// a fresh instance's fully cold first invocation; "snapshot-replay" has a
-// donor record metadata over the cell's warm-up invocations, then a restored
-// instance adopt it and replay on its own first invocation.
-func execSnapshot(c runner.Cell) (runner.Measurement, error) {
+// execSnapshotCold executes a "snapshot-cold" cell: a fresh instance's
+// fully cold first invocation.
+func execSnapshotCold(c runner.Cell) (runner.Measurement, error) {
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
-	switch c.Variant {
-	case "snapshot-cold":
-		srv := newServer(c.CPU, nil, false)
-		inst := srv.Deploy(w)
-		srv.FlushMicroarch()
-		res := srv.Invoke(inst)
-		return runner.Measurement{Instrs: res.Instrs, Cycles: res.Cycles}, nil
-	case "snapshot-replay":
-		srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
-		donor := srv.Deploy(w)
-		srv.RunLukewarm(donor, c.Warmup)
-		restored := srv.Deploy(w)
-		if err := restored.Jukebox.AdoptMetadata(donor.Jukebox); err != nil {
-			return runner.Measurement{}, fmt.Errorf("experiments: snapshot adopt %s: %w", w.Name, err)
-		}
-		// The snapshot ships the REAP record file alongside the Jukebox
-		// metadata (internal/reap supersedes the metadata-only study): the
-		// restored instance prefetches the donor's page working set too.
-		if err := restored.Reap.AdoptManifest(donor.Reap); err != nil {
-			return runner.Measurement{}, fmt.Errorf("experiments: snapshot adopt %s: %w", w.Name, err)
-		}
-		srv.FlushMicroarch()
-		first := srv.Invoke(restored)
-		return runner.Measurement{Instrs: first.Instrs, Cycles: first.Cycles}, nil
+	srv := newServer(c.CPU, nil, false)
+	inst := srv.Deploy(w)
+	srv.FlushMicroarch()
+	res := srv.Invoke(inst)
+	return runner.Measurement{Instrs: res.Instrs, Cycles: res.Cycles}, nil
+}
+
+// execSnapshotReplay executes a "snapshot-replay" cell: a donor records
+// metadata over the cell's warm-up invocations, then a restored instance
+// adopts it and replays on its own first invocation.
+func execSnapshotReplay(c runner.Cell) (runner.Measurement, error) {
+	w, err := suiteByName(c.Workload)
+	if err != nil {
+		return runner.Measurement{}, err
 	}
-	return runner.Measurement{}, fmt.Errorf("experiments: unknown snapshot variant %q", c.Variant)
+	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
+	donor := srv.Deploy(w)
+	srv.RunLukewarm(donor, c.Warmup)
+	restored := srv.Deploy(w)
+	if err := restored.Jukebox.AdoptMetadata(donor.Jukebox); err != nil {
+		return runner.Measurement{}, fmt.Errorf("experiments: snapshot adopt %s: %w", w.Name, err)
+	}
+	// The snapshot ships the REAP record file alongside the Jukebox
+	// metadata (internal/reap supersedes the metadata-only study): the
+	// restored instance prefetches the donor's page working set too.
+	if err := restored.Reap.AdoptManifest(donor.Reap); err != nil {
+		return runner.Measurement{}, fmt.Errorf("experiments: snapshot adopt %s: %w", w.Name, err)
+	}
+	srv.FlushMicroarch()
+	first := srv.Invoke(restored)
+	return runner.Measurement{Instrs: first.Instrs, Cycles: first.Cycles}, nil
 }
 
 // Table renders the snapshot study.
@@ -232,9 +232,9 @@ func DynamicMetadata(opt Options) (DynamicMetadataResult, error) {
 		sizing.ReplayEnabled = false
 		phase1 = append(phase1,
 			opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm),
-			opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &sizing, lukewarm))
+			opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &sizing, lukewarm, execRecordOnly))
 	}
-	ms1, err := opt.Engine.MeasureFunc(phase1, execRecordOnly)
+	ms1, err := opt.Engine.Measure(phase1)
 	if err != nil {
 		return out, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/baselines"
 	"lukewarm/internal/core"
@@ -26,48 +25,57 @@ type BaselinesResult struct {
 	MetadataKB map[string]float64
 }
 
-// baselineConfigs names the compared schemes, in presentation order.
-var baselineConfigs = []string{"NextLine", "RECAP", "Jukebox"}
+// baselineSchemes are the compared schemes, in presentation order, each
+// with its executor, which reports the scheme's per-instance metadata cost
+// in MetaBytes.
+var baselineSchemes = []struct {
+	name string
+	exec func(runner.Cell) (runner.Measurement, error)
+}{
+	{"NextLine", execNextLine},
+	{"RECAP", execRecap},
+	{"Jukebox", execJukeboxMeta},
+}
 
-// execBaseline executes "baseline-<scheme>" cells, attaching the scheme's
-// prefetcher and reporting its per-instance metadata cost in MetaBytes;
-// untagged cells fall through to the standard executor.
-func execBaseline(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
+// execNextLine measures a cell with a next-line instruction prefetcher.
+func execNextLine(c runner.Cell) (runner.Measurement, error) {
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
-	switch strings.TrimPrefix(c.Variant, "baseline-") {
-	case "Jukebox":
-		srv := newServer(c.CPU, c.Jukebox, false)
-		inst := srv.Deploy(w)
-		m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-		if err != nil {
-			return m, err
-		}
-		m.MetaBytes = inst.Jukebox.MetadataFootprintBytes()
-		return m, nil
-	case "NextLine":
-		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		srv.AttachCorePrefetcher(baselines.NewNextLineI(srv.Core.Hier, 1))
-		inst := srv.Deploy(w)
-		return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-	case "RECAP":
-		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		rc := baselines.NewRecap(srv.Core.Hier)
-		srv.AttachCorePrefetcher(rc)
-		inst := srv.Deploy(w)
-		m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-		if err != nil {
-			return m, err
-		}
-		m.MetaBytes = rc.Stats.LastMetadataBytes
-		return m, nil
+	srv := serverless.New(serverless.Config{CPU: c.CPU})
+	srv.AttachCorePrefetcher(baselines.NewNextLineI(srv.Core.Hier, 1))
+	inst := srv.Deploy(w)
+	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+}
+
+// execRecap measures a cell with RECAP-style whole-LLC restoration.
+func execRecap(c runner.Cell) (runner.Measurement, error) {
+	w, err := suiteByName(c.Workload)
+	if err != nil {
+		return runner.Measurement{}, err
 	}
-	return runner.Measurement{}, fmt.Errorf("experiments: unknown baseline variant %q", c.Variant)
+	srv := serverless.New(serverless.Config{CPU: c.CPU})
+	rc := baselines.NewRecap(srv.Core.Hier)
+	srv.AttachCorePrefetcher(rc)
+	inst := srv.Deploy(w)
+	m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	m.MetaBytes = rc.Stats.LastMetadataBytes
+	return m, err
+}
+
+// execJukeboxMeta measures a Jukebox cell as Execute does, plus its
+// metadata footprint.
+func execJukeboxMeta(c runner.Cell) (runner.Measurement, error) {
+	w, err := suiteByName(c.Workload)
+	if err != nil {
+		return runner.Measurement{}, err
+	}
+	srv := newServer(c.CPU, c.Jukebox, false)
+	inst := srv.Deploy(w)
+	m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	m.MetaBytes = inst.Jukebox.MetadataFootprintBytes()
+	return m, err
 }
 
 // Baselines measures the three schemes across the selected suite on the
@@ -85,28 +93,28 @@ func Baselines(opt Options) (BaselinesResult, error) {
 		meta  stats.Summary
 	}
 	accs := map[string]*acc{}
-	for _, cfg := range baselineConfigs {
-		accs[cfg] = &acc{}
+	for _, sc := range baselineSchemes {
+		accs[sc.name] = &acc{}
 	}
 
 	suite, err := opt.suite()
 	if err != nil {
 		return out, err
 	}
-	stride := 1 + len(baselineConfigs)
+	stride := 1 + len(baselineSchemes)
 	var cells []runner.Cell
 	for _, w := range suite {
 		cells = append(cells, opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm))
-		for _, cfg := range baselineConfigs {
+		for _, sc := range baselineSchemes {
 			var jb *core.Config
-			if cfg == "Jukebox" {
+			if sc.name == "Jukebox" {
 				c := core.DefaultConfig()
 				jb = &c
 			}
-			cells = append(cells, opt.variantCell("baseline-"+cfg, w.Name, cpu.SkylakeConfig(), jb, lukewarm))
+			cells = append(cells, opt.variantCell("baseline-"+sc.name, w.Name, cpu.SkylakeConfig(), jb, lukewarm, sc.exec))
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execBaseline)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
@@ -118,9 +126,9 @@ func Baselines(opt Options) (BaselinesResult, error) {
 		for _, b := range base.DRAM {
 			baseBytes += b
 		}
-		for ci, cfg := range baselineConfigs {
+		for ci, sc := range baselineSchemes {
 			m := ms[stride*wi+1+ci]
-			a := accs[cfg]
+			a := accs[sc.name]
 			a.speed = append(a.speed, 1+stats.SpeedupPct(normCycles(base), normCycles(m))/100)
 			var bytes uint64
 			for _, b := range m.DRAM {
@@ -131,11 +139,11 @@ func Baselines(opt Options) (BaselinesResult, error) {
 			a.meta.Add(float64(m.MetaBytes) / 1024)
 		}
 	}
-	for _, cfg := range baselineConfigs {
-		a := accs[cfg]
-		out.SpeedupPct[cfg] = (stats.GeoMean(a.speed) - 1) * 100
-		out.BandwidthPct[cfg] = a.bw.Mean()
-		out.MetadataKB[cfg] = a.meta.Mean()
+	for _, sc := range baselineSchemes {
+		a := accs[sc.name]
+		out.SpeedupPct[sc.name] = (stats.GeoMean(a.speed) - 1) * 100
+		out.BandwidthPct[sc.name] = a.bw.Mean()
+		out.MetadataKB[sc.name] = a.meta.Mean()
 	}
 	return out, nil
 }
@@ -144,14 +152,14 @@ func Baselines(opt Options) (BaselinesResult, error) {
 func (r BaselinesResult) Table() *stats.Table {
 	t := stats.NewTable("Related-work baselines vs Jukebox (lukewarm, Skylake-like)",
 		"Scheme", "Geomean speedup", "DRAM traffic increase", "Metadata per instance")
-	for _, cfg := range baselineConfigs {
+	for _, sc := range baselineSchemes {
 		meta := "-"
-		if r.MetadataKB[cfg] > 0 {
-			meta = fmt.Sprintf("%.0f KB", r.MetadataKB[cfg])
+		if r.MetadataKB[sc.name] > 0 {
+			meta = fmt.Sprintf("%.0f KB", r.MetadataKB[sc.name])
 		}
-		t.AddRow(cfg,
-			fmt.Sprintf("%.1f%%", r.SpeedupPct[cfg]),
-			fmt.Sprintf("%+.0f%%", r.BandwidthPct[cfg]),
+		t.AddRow(sc.name,
+			fmt.Sprintf("%.1f%%", r.SpeedupPct[sc.name]),
+			fmt.Sprintf("%+.0f%%", r.BandwidthPct[sc.name]),
 			meta)
 	}
 	return t

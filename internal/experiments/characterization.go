@@ -44,34 +44,18 @@ func Fig1(opt Options) (Fig1Result, error) {
 		rows[i] = Fig1Row{IATms: iat, NormCPI: map[string]float64{}}
 	}
 
+	suite, err := resolve(fns)
+	if err != nil {
+		return res, err
+	}
 	var cells []runner.Cell
-	iatOf := map[string]float64{}
-	for _, name := range fns {
-		if _, err := workload.ByName(name); err != nil {
-			return res, fmt.Errorf("experiments: %w", err)
-		}
+	for _, w := range suite {
 		for _, iat := range iats {
-			variant := fmt.Sprintf("fig1-iat=%g", iat)
-			iatOf[variant] = iat
-			cells = append(cells, opt.variantCell(variant, name, cpu.CharacterizationConfig(), nil, reference))
+			cells = append(cells, opt.variantCell(fmt.Sprintf("fig1-iat=%g", iat), w.Name, cpu.CharacterizationConfig(), nil, reference,
+				func(c runner.Cell) (measured, error) { return execFig1(c, w, iat) }))
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (measured, error) {
-		w, err := workload.ByName(c.Workload)
-		if err != nil {
-			return measured{}, err
-		}
-		srv := serverless.New(serverless.Config{CPU: c.CPU})
-		inst := srv.Deploy(w)
-		srv.RunReference(inst, c.Warmup+1)
-		var m measured
-		for k := 0; k < c.Measure; k++ {
-			r := srv.RunWithIAT(inst, 1, iatOf[c.Variant])
-			m.Instrs += r.Instrs
-			m.Cycles += r.Cycles
-		}
-		return m, nil
-	})
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return res, err
 	}
@@ -83,6 +67,21 @@ func Fig1(opt Options) (Fig1Result, error) {
 	}
 	res.Rows = rows
 	return res, nil
+}
+
+// execFig1 measures one Fig. 1 point: w warms up back-to-back, then every
+// measured invocation follows an idle gap of iatMs.
+func execFig1(c runner.Cell, w workload.Workload, iatMs float64) (measured, error) {
+	srv := serverless.New(serverless.Config{CPU: c.CPU})
+	inst := srv.Deploy(w)
+	srv.RunReference(inst, c.Warmup+1)
+	var m measured
+	for k := 0; k < c.Measure; k++ {
+		r := srv.RunWithIAT(inst, 1, iatMs)
+		m.Instrs += r.Instrs
+		m.Cycles += r.Cycles
+	}
+	return m, nil
 }
 
 // Table renders the sweep.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/cluster"
 	"lukewarm/internal/core"
@@ -22,7 +21,7 @@ import (
 // cold/lukewarm/warm split of what was actually served (node crashes
 // destroy the warm state and Jukebox metadata the single-node results bank
 // on), retry-inflated tail latency, wasted hedge work, and time spent in
-// brownout tiers. Each sweep point is one runner.Cell with a Variant tag,
+// brownout tiers. Each sweep point is one runner.Cell with its own executor,
 // cached and fanned out like every other experiment.
 
 // Cluster-sweep parameters: a few cores per node under brisk traffic so the
@@ -159,6 +158,21 @@ func (sp clusterSpec) config(ws []workload.Workload) cluster.Config {
 	return cfg
 }
 
+// exec runs the cell's fleet simulation over suite.
+func (sp clusterSpec) exec(c runner.Cell, suite []workload.Workload) (runner.Measurement, error) {
+	res, err := cluster.Run(sp.config(suite))
+	if err != nil {
+		return runner.Measurement{}, err
+	}
+	if c.Audit {
+		if err := cluster.Audit(&res); err != nil {
+			return runner.Measurement{}, fmt.Errorf("%s: %w", sp.variant(), err)
+		}
+	}
+	sum := res.Summary()
+	return runner.Measurement{Cluster: &sum}, nil
+}
+
 // Cluster runs the fleet experiment over the selected suite.
 func Cluster(opt Options) (ClusterResult, error) {
 	opt = opt.withDefaults()
@@ -167,11 +181,6 @@ func Cluster(opt Options) (ClusterResult, error) {
 	if err != nil {
 		return out, err
 	}
-	names := make([]string, len(suite))
-	for i, w := range suite {
-		names[i] = w.Name
-	}
-	suiteTag := strings.Join(names, "+")
 	invocs := opt.Measure + opt.Warmup
 
 	var specs []clusterSpec
@@ -183,43 +192,13 @@ func Cluster(opt Options) (ClusterResult, error) {
 		}
 	}
 
-	byVariant := make(map[string]clusterSpec, len(specs))
 	cells := make([]runner.Cell, len(specs))
 	for i, sp := range specs {
-		cells[i] = runner.Cell{
-			Workload: suiteTag,
-			CPU:      cpu.SkylakeConfig(),
-			Mode:     runner.Reference,
-			Warmup:   opt.Warmup,
-			Measure:  opt.Measure,
-			Audit:    opt.Audit,
-			Variant:  sp.variant(),
-		}
-		byVariant[sp.variant()] = sp
+		cells[i] = opt.variantCell(sp.variant(), suiteTag(suite), cpu.SkylakeConfig(), nil, reference,
+			func(c runner.Cell) (runner.Measurement, error) { return sp.exec(c, suite) })
 	}
 
-	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
-		sp := byVariant[c.Variant]
-		var ws []workload.Workload
-		for _, name := range strings.Split(c.Workload, "+") {
-			w, err := workload.ByName(name)
-			if err != nil {
-				return runner.Measurement{}, err
-			}
-			ws = append(ws, w)
-		}
-		res, err := cluster.Run(sp.config(ws))
-		if err != nil {
-			return runner.Measurement{}, err
-		}
-		if c.Audit {
-			if err := cluster.Audit(&res); err != nil {
-				return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
-			}
-		}
-		sum := res.Summary()
-		return runner.Measurement{Cluster: &sum}, nil
-	})
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

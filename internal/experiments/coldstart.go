@@ -101,12 +101,13 @@ type StalenessRow struct {
 	WastedPct float64
 }
 
-// coldstartCell tags one (function, mechanism, band) point. Every point is a
-// variant cell: the measurement loop (evict or idle per invocation) is
-// custom, and mechanism configs ride on the cell so they land in the cache
-// key.
+// coldstartCell describes one (function, mechanism, band) point. Every point
+// carries its own executor: the measurement loop (evict or idle per
+// invocation) is custom, and mechanism configs ride on the cell so they land
+// in the cache key.
 func coldstartCell(opt Options, w string, m ColdstartMech, b coldstartBand) runner.Cell {
-	c := opt.variantCell(fmt.Sprintf("coldstart-%s-%s", m, b.name), w, cpu.SkylakeConfig(), nil, lukewarm)
+	c := opt.variantCell(fmt.Sprintf("coldstart-%s-%s", m, b.name), w, cpu.SkylakeConfig(), nil, lukewarm,
+		func(c runner.Cell) (runner.Measurement, error) { return execColdstart(c, m, b) })
 	if m == MechJB || m == MechREAPJB {
 		jb := core.DefaultConfig()
 		c.Jukebox = &jb
@@ -118,34 +119,13 @@ func coldstartCell(opt Options, w string, m ColdstartMech, b coldstartBand) runn
 	return c
 }
 
-// coldstartBandOf resolves a coldstart variant tag back to its band.
-func coldstartBandOf(variant string) (ColdstartMech, coldstartBand, error) {
-	rest, ok := strings.CutPrefix(variant, "coldstart-")
-	if !ok {
-		return "", coldstartBand{}, fmt.Errorf("experiments: not a coldstart variant %q", variant)
-	}
-	for _, m := range coldstartMechs {
-		for _, b := range coldstartBands {
-			if rest == string(m)+"-"+b.name {
-				return m, b, nil
-			}
-		}
-	}
-	return "", coldstartBand{}, fmt.Errorf("experiments: unknown coldstart variant %q", variant)
-}
-
 // execColdstart executes coldstart cells: warm up and record lukewarm, then
 // measure invocations that each start from the band's condition — eviction
 // plus a full flush (cold: pages gone, Jukebox metadata gone, REAP manifest
-// survives) or an idle gap (lukewarm: partial thrash, delta restore).
-func execColdstart(c runner.Cell) (runner.Measurement, error) {
-	if strings.HasPrefix(c.Variant, "coldstart-stale-") {
-		return execColdstartStale(c)
-	}
-	mech, band, err := coldstartBandOf(c.Variant)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
+// survives) or an idle gap (lukewarm: partial thrash, delta restore). The
+// window is audited like runner.MeasureInstance's; only cold bands start
+// every invocation from flushed caches, so only they audit the caches.
+func execColdstart(c runner.Cell, mech ColdstartMech, band coldstartBand) (runner.Measurement, error) {
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
@@ -156,16 +136,7 @@ func execColdstart(c runner.Cell) (runner.Measurement, error) {
 	}
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, c.Warmup) // functional warm-up records manifest + metadata
-	srv.Core.Hier.ResetStats()
-	srv.Core.MMU.ResetStats()
-	srv.Core.BP.ResetStats()
-	srv.Core.BTB.ResetStats()
-	if inst.Jukebox != nil {
-		inst.Jukebox.ResetStats()
-	}
-	if inst.Reap != nil {
-		inst.Reap.ResetStats()
-	}
+	runner.BeginWindow(srv, inst)
 
 	var out runner.Measurement
 	for i := 0; i < c.Measure; i++ {
@@ -188,37 +159,15 @@ func execColdstart(c runner.Cell) (runner.Measurement, error) {
 		out.Instrs += res.Instrs
 		out.Cycles += res.Cycles
 	}
-	hier := srv.Core.Hier
-	hier.DrainUnusedPrefetches()
-	out.L1I, out.L2, out.LLC = hier.L1I.Stats, hier.L2.Stats, hier.LLC.Stats
-	out.DRAM = map[mem.TrafficClass]uint64{}
-	for _, cls := range []mem.TrafficClass{mem.TrafficDemand, mem.TrafficPrefetch,
-		mem.TrafficMetadataRecord, mem.TrafficMetadataReplay, mem.TrafficWriteback} {
-		out.DRAM[cls] = hier.DRAM.Bytes(cls)
-	}
-	if inst.Jukebox != nil {
-		out.JB = inst.Jukebox.Stats
-	}
-	if inst.Reap != nil {
-		out.Reap = inst.Reap.Stats
-		if c.Audit {
-			if err := faults.AuditReap(out.Reap); err != nil {
-				return out, fmt.Errorf("%s: %w", c.Label(), err)
-			}
-		}
-	}
-	return out, nil
+	err = runner.EndWindow(srv, inst, &out, c.Audit, band.cold)
+	return out, err
 }
 
 // execColdstartStale executes one staleness point: freeze the manifest after
 // the first (recorded) invocation of a drifting-allocator workload variant,
 // age it for age-1 lukewarm invocations, and measure the restore before
 // invocation age.
-func execColdstartStale(c runner.Cell) (runner.Measurement, error) {
-	age, err := strconv.Atoi(strings.TrimPrefix(c.Variant, "coldstart-stale-"))
-	if err != nil || age < 1 {
-		return runner.Measurement{}, fmt.Errorf("experiments: bad staleness variant %q", c.Variant)
-	}
+func execColdstartStale(c runner.Cell, age int) (runner.Measurement, error) {
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
@@ -277,13 +226,14 @@ func Coldstart(opt Options) (ColdstartResult, error) {
 	staleStart := len(cells)
 	for _, age := range coldstartStaleAges {
 		for _, fn := range fns {
-			c := opt.variantCell(fmt.Sprintf("coldstart-stale-%d", age), fn, cpu.SkylakeConfig(), nil, lukewarm)
+			c := opt.variantCell(fmt.Sprintf("coldstart-stale-%d", age), fn, cpu.SkylakeConfig(), nil, lukewarm,
+				func(c runner.Cell) (runner.Measurement, error) { return execColdstartStale(c, age) })
 			rc := reap.DefaultConfig()
 			c.Reap = &rc
 			cells = append(cells, c)
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execColdstart)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

@@ -7,7 +7,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
@@ -67,28 +67,43 @@ func (o Options) cell(w string, cfg cpu.Config, jb *core.Config, perfect bool, m
 	}
 }
 
-// variantCell is cell with a custom-executor tag (see runner.Cell.Variant).
-func (o Options) variantCell(variant, w string, cfg cpu.Config, jb *core.Config, md mode) runner.Cell {
+// variantCell is cell with its own executor, keyed apart from standard cells
+// by the variant label (see runner.Cell.Exec).
+func (o Options) variantCell(variant, w string, cfg cpu.Config, jb *core.Config, md mode, exec func(runner.Cell) (measured, error)) runner.Cell {
 	c := o.cell(w, cfg, jb, false, md)
-	c.Variant = variant
+	c.Variant, c.Exec = variant, exec
 	return c
 }
 
 // suite resolves the selected workloads, erroring on unknown names.
 func (o Options) suite() ([]workload.Workload, error) {
-	all := workload.Suite()
 	if len(o.Functions) == 0 {
-		return all, nil
+		return workload.Suite(), nil
 	}
-	var out []workload.Workload
-	for _, name := range o.Functions {
-		w, err := workload.ByName(name)
+	return resolve(o.Functions)
+}
+
+// resolve looks up the named workloads, erroring on unknown names.
+func resolve(names []string) ([]workload.Workload, error) {
+	ws := make([]workload.Workload, len(names))
+	for i, name := range names {
+		w, err := suiteByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
+			return nil, err
 		}
-		out = append(out, w)
+		ws[i] = w
 	}
-	return out, nil
+	return ws, nil
+}
+
+// suiteTag names a cell that deploys several functions: their names joined
+// by "+", in deployment order.
+func suiteTag(ws []workload.Workload) string {
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name
+	}
+	return strings.Join(names, "+")
 }
 
 // mode selects the execution regime of a measurement (see runner.Mode).

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
@@ -37,42 +36,34 @@ type Fig13Result struct {
 // pifCell describes one workload under one Fig. 13 configuration. Baseline
 // and plain-Jukebox configurations are standard cells — they hit the same
 // cache entries as Fig. 10's baseline and Jukebox measurements — while the
-// PIF-attaching configurations carry a "fig13-" variant tag and run through
-// execPIF.
+// PIF-attaching configurations carry a "fig13-" variant label and run
+// through execPIF with their PIF configuration.
 func pifCell(opt Options, w string, cfg PIFConfig) runner.Cell {
 	var jb *core.Config
 	if cfg == CfgJukebox || cfg == CfgJBPIFIdeal {
 		c := core.DefaultConfig()
 		jb = &c
 	}
-	switch cfg {
-	case CfgBaseline, CfgJukebox:
+	if cfg == CfgBaseline || cfg == CfgJukebox {
 		return opt.cell(w, cpu.SkylakeConfig(), jb, false, lukewarm)
-	default:
-		return opt.variantCell("fig13-"+string(cfg), w, cpu.SkylakeConfig(), jb, lukewarm)
 	}
+	pc := pif.IdealConfig()
+	if cfg == CfgPIF {
+		pc = pif.DefaultConfig()
+	}
+	return opt.variantCell("fig13-"+string(cfg), w, cpu.SkylakeConfig(), jb, lukewarm,
+		func(c runner.Cell) (runner.Measurement, error) { return execPIF(c, pc) })
 }
 
-// execPIF executes Fig. 13 cells, attaching the tagged PIF prefetcher before
-// measuring; untagged cells fall through to the standard executor.
-func execPIF(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
-	cfg := PIFConfig(strings.TrimPrefix(c.Variant, "fig13-"))
+// execPIF measures a cell with a PIF prefetcher of configuration pc
+// attached.
+func execPIF(c runner.Cell, pc pif.Config) (runner.Measurement, error) {
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
-	switch cfg {
-	case CfgPIF:
-		srv.AttachCorePrefetcher(pif.New(pif.DefaultConfig(), srv.Core.Hier))
-	case CfgPIFIdeal, CfgJBPIFIdeal:
-		srv.AttachCorePrefetcher(pif.New(pif.IdealConfig(), srv.Core.Hier))
-	default:
-		return runner.Measurement{}, fmt.Errorf("experiments: unknown fig13 variant %q", c.Variant)
-	}
+	srv.AttachCorePrefetcher(pif.New(pc, srv.Core.Hier))
 	inst := srv.Deploy(w)
 	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
 }
@@ -99,7 +90,7 @@ func Fig13(opt Options) (Fig13Result, error) {
 			cells = append(cells, pifCell(opt, w.Name, cfg))
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execPIF)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

@@ -52,10 +52,10 @@ var prewarmLeads = []float64{1, 4, 16}
 // prewarmMechFor alternates the pre-warmed mechanism across the suite in
 // deployment order — both replay engines and the combined stack are
 // exercised under prediction in one sweep.
-func prewarmMechFor(names []string) func(string) predict.Mech {
+func prewarmMechFor(suite []workload.Workload) func(string) predict.Mech {
 	mech := map[string]predict.Mech{}
-	for i, n := range names {
-		mech[n] = []predict.Mech{predict.MechAuto, predict.MechReap, predict.MechJukebox}[i%3]
+	for i, w := range suite {
+		mech[w.Name] = []predict.Mech{predict.MechAuto, predict.MechReap, predict.MechJukebox}[i%3]
 	}
 	return func(fn string) predict.Mech { return mech[fn] }
 }
@@ -91,7 +91,7 @@ func prewarmVariant(shape sched.ShapeKind, fc string, leadMs float64, invocs int
 		shape, fc, leadMs, prewarmCores, prewarmIATms, invocs, prewarmSeed)
 }
 
-// prewarmSpec resolves a variant tag back to its sweep point.
+// prewarmSpec is one traffic cell's sweep point.
 type prewarmSpec struct {
 	shape  sched.ShapeKind
 	fc     string
@@ -101,7 +101,7 @@ type prewarmSpec struct {
 
 // traffic builds the cell's traffic configuration with fresh forecaster
 // state.
-func (sp prewarmSpec) traffic(names []string) serverless.TrafficConfig {
+func (sp prewarmSpec) traffic(suite []workload.Workload) serverless.TrafficConfig {
 	cfg := serverless.TrafficConfig{
 		MeanIATms:              prewarmIATms,
 		InvocationsPerInstance: sp.invocs,
@@ -127,39 +127,34 @@ func (sp prewarmSpec) traffic(names []string) serverless.TrafficConfig {
 		cfg.Predict = &predict.Config{
 			Forecaster: predict.NewForecaster(sp.fc),
 			LeadMs:     sp.leadMs,
-			MechFor:    prewarmMechFor(names),
+			MechFor:    prewarmMechFor(suite),
 		}
 	}
 	return cfg
 }
 
-// execPrewarm executes one traffic cell of the sweep.
-func execPrewarm(c runner.Cell, sp prewarmSpec) (runner.Measurement, error) {
+// exec runs the cell's traffic simulation with suite deployed in order.
+func (sp prewarmSpec) exec(c runner.Cell, suite []workload.Workload) (runner.Measurement, error) {
 	srv := serverless.New(serverless.Config{
 		CPU: c.CPU, Cores: prewarmCores, Jukebox: c.Jukebox, Reap: c.Reap,
 	})
-	names := strings.Split(c.Workload, "+")
-	for _, name := range names {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return runner.Measurement{}, err
-		}
+	for _, w := range suite {
 		srv.Deploy(w)
 	}
-	res, err := srv.ServeTraffic(sp.traffic(names))
+	res, err := srv.ServeTraffic(sp.traffic(suite))
 	if err != nil {
 		return runner.Measurement{}, err
 	}
 	if c.Audit {
 		if err := faults.AuditTraffic(res); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
+			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Label(), err)
 		}
 		fc := sp.fc
 		if fc == "bare" {
 			fc = ""
 		}
 		if err := faults.AuditPredict(res.Prewarm, fc); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
+			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Label(), err)
 		}
 	}
 	sum := res.Summary()
@@ -169,11 +164,7 @@ func execPrewarm(c runner.Cell, sp prewarmSpec) (runner.Measurement, error) {
 // execPrewarmWarm executes one warm-reference cell: back-to-back
 // invocations of a single function with nothing disturbed, no mechanisms —
 // the readiness ceiling every pre-warm chases.
-func execPrewarmWarm(c runner.Cell) (runner.Measurement, error) {
-	w, err := workload.ByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
+func execPrewarmWarm(c runner.Cell, w workload.Workload) (runner.Measurement, error) {
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: 1})
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, c.Warmup)
@@ -202,7 +193,10 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		fns = workload.Representatives()
 	}
 	out := PrewarmResult{Functions: fns}
-	suiteTag := strings.Join(fns, "+")
+	suite, err := resolve(fns)
+	if err != nil {
+		return out, err
+	}
 
 	// The histogram forecaster needs DefaultMinSamples observed gaps per
 	// function before it predicts at all; give every run enough arrivals to
@@ -222,36 +216,30 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		}
 	}
 
-	byVariant := make(map[string]prewarmSpec, len(specs))
 	var cells []runner.Cell
 	for _, sp := range specs {
 		jb := core.DefaultConfig()
 		rc := reap.DefaultConfig()
 		c := opt.variantCell(prewarmVariant(sp.shape, sp.fc, sp.leadMs, sp.invocs),
-			suiteTag, cpu.SkylakeConfig(), nil, lukewarm)
-		c.Jukebox = &jb
+			suiteTag(suite), cpu.SkylakeConfig(), &jb, lukewarm,
+			func(c runner.Cell) (runner.Measurement, error) { return sp.exec(c, suite) })
 		c.Reap = &rc
 		cells = append(cells, c)
-		byVariant[c.Variant] = sp
 	}
 	warmStart := len(cells)
-	for _, fn := range fns {
-		cells = append(cells, opt.variantCell("prewarm-warm", fn, cpu.SkylakeConfig(), nil, reference))
+	for _, w := range suite {
+		cells = append(cells, opt.variantCell("prewarm-warm", w.Name, cpu.SkylakeConfig(), nil, reference,
+			func(c runner.Cell) (runner.Measurement, error) { return execPrewarmWarm(c, w) }))
 	}
 
-	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
-		if c.Variant == "prewarm-warm" {
-			return execPrewarmWarm(c)
-		}
-		return execPrewarm(c, byVariant[c.Variant])
-	})
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
 
 	for i, sp := range specs {
 		if ms[i].Traffic == nil {
-			return out, fmt.Errorf("prewarm: cell %s returned no traffic summary", cells[i].Variant)
+			return out, fmt.Errorf("prewarm: cell %s returned no traffic summary", cells[i].Label())
 		}
 		out.Rows = append(out.Rows, PrewarmRow{
 			Shape: sp.shape.String(), Forecaster: sp.fc, LeadMs: sp.leadMs,

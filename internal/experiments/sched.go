@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
@@ -27,7 +26,7 @@ import (
 //     instance-memory budget each policy spends (à la Shahrad et al.,
 //     ATC'20).
 //
-// Every (shape, policy) pair is one runner.Cell with a Variant tag, so the
+// Every (shape, policy) pair is one runner.Cell with its own executor, so the
 // whole sweep fans out across the engine's worker pool and memoizes in the
 // content-addressed result cache like every other experiment.
 
@@ -172,6 +171,29 @@ func (sp schedSpec) traffic() serverless.TrafficConfig {
 	return cfg
 }
 
+// exec runs the cell's traffic simulation with suite deployed in order.
+func (sp schedSpec) exec(c runner.Cell, suite []workload.Workload) (runner.Measurement, error) {
+	cores := schedKACores
+	if sp.sweep == "place" {
+		cores = schedPlaceCores
+	}
+	srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: cores, Jukebox: c.Jukebox})
+	for _, w := range suite {
+		srv.Deploy(w)
+	}
+	res, err := srv.ServeTraffic(sp.traffic())
+	if err != nil {
+		return runner.Measurement{}, err
+	}
+	if c.Audit {
+		if err := faults.AuditTraffic(res); err != nil {
+			return runner.Measurement{}, fmt.Errorf("%s: %w", sp.variant(), err)
+		}
+	}
+	sum := res.Summary()
+	return runner.Measurement{Traffic: &sum}, nil
+}
+
 // Sched runs the scheduling-policy experiment over the selected suite.
 func Sched(opt Options) (SchedResult, error) {
 	opt = opt.withDefaults()
@@ -180,11 +202,6 @@ func Sched(opt Options) (SchedResult, error) {
 	if err != nil {
 		return out, err
 	}
-	names := make([]string, len(suite))
-	for i, w := range suite {
-		names[i] = w.Name
-	}
-	suiteTag := strings.Join(names, "+")
 
 	placeInvocs := opt.Measure + opt.Warmup
 	// The hybrid policy needs a few observed gaps per function before its
@@ -207,54 +224,20 @@ func Sched(opt Options) (SchedResult, error) {
 		}
 	}
 
-	byVariant := make(map[string]schedSpec, len(specs))
 	cells := make([]runner.Cell, len(specs))
 	for i, sp := range specs {
-		jbCfg := core.DefaultConfig()
-		c := runner.Cell{
-			Workload: suiteTag,
-			CPU:      cpu.SkylakeConfig(),
-			Mode:     runner.Reference,
-			Warmup:   opt.Warmup,
-			Measure:  opt.Measure,
-			Audit:    opt.Audit,
-			Variant:  sp.variant(),
-		}
 		// The placement sweep runs with Jukebox so metadata locality is a
 		// live axis; the keep-alive sweep isolates eviction policy.
+		var jb *core.Config
 		if sp.sweep == "place" {
-			c.Jukebox = &jbCfg
+			cfg := core.DefaultConfig()
+			jb = &cfg
 		}
-		cells[i] = c
-		byVariant[sp.variant()] = sp
+		cells[i] = opt.variantCell(sp.variant(), suiteTag(suite), cpu.SkylakeConfig(), jb, reference,
+			func(c runner.Cell) (runner.Measurement, error) { return sp.exec(c, suite) })
 	}
 
-	ms, err := opt.Engine.MeasureFunc(cells, func(c runner.Cell) (runner.Measurement, error) {
-		sp := byVariant[c.Variant]
-		cores := schedKACores
-		if sp.sweep == "place" {
-			cores = schedPlaceCores
-		}
-		srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: cores, Jukebox: c.Jukebox})
-		for _, name := range strings.Split(c.Workload, "+") {
-			w, err := workload.ByName(name)
-			if err != nil {
-				return runner.Measurement{}, err
-			}
-			srv.Deploy(w)
-		}
-		res, err := srv.ServeTraffic(sp.traffic())
-		if err != nil {
-			return runner.Measurement{}, err
-		}
-		if c.Audit {
-			if err := faults.AuditTraffic(res); err != nil {
-				return runner.Measurement{}, fmt.Errorf("%s: %w", c.Variant, err)
-			}
-		}
-		sum := res.Summary()
-		return runner.Measurement{Traffic: &sum}, nil
-	})
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

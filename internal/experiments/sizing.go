@@ -25,12 +25,9 @@ func recordJB(regionBytes, crrbEntries int) core.Config {
 
 // execRecordOnly executes a "fig8-record" cell: one lukewarm invocation with
 // a record-only Jukebox, reporting the recorded metadata size in MetaBytes.
-// Fig8 and CRRBAblation share this executor, so overlapping sweep points
-// (e.g. CRRB=16 at 1 KB regions) are simulated once.
+// Fig8, CRRBAblation and DynamicMetadata share this executor, so overlapping
+// sweep points (e.g. CRRB=16 at 1 KB regions) are simulated once.
 func execRecordOnly(c runner.Cell) (runner.Measurement, error) {
-	if c.Variant == "" {
-		return runner.Execute(c)
-	}
 	w, err := suiteByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
@@ -76,10 +73,10 @@ func Fig8(opt Options) (Fig8Result, error) {
 	for _, w := range suite {
 		for _, rs := range regions {
 			jb := recordJB(rs, fig8CRRBEntries)
-			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm))
+			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execRecordOnly))
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execRecordOnly)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
@@ -155,10 +152,10 @@ func CRRBAblation(opt Options) (CRRBAblationResult, error) {
 	for _, n := range out.Sizes {
 		for _, w := range suite {
 			jb := recordJB(1024, n)
-			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm))
+			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execRecordOnly))
 		}
 	}
-	ms, err := opt.Engine.MeasureFunc(cells, execRecordOnly)
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}

@@ -33,7 +33,8 @@ func Audit(r cpu.RunResult) error {
 		return fmt.Errorf("faults: audit: negative stack total %g", total)
 	}
 	// Tolerance: accumulated float error across per-instruction charges.
-	tol := 1e-6*float64(r.Cycles) + 1.0
+	// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
+	tol := float64(1e-6*float64(r.Cycles)) + 1.0
 	if diff := math.Abs(total - float64(r.Cycles)); diff > tol {
 		return fmt.Errorf("faults: audit: stack sums to %.3f cycles, run reports %d (diff %.3f > tol %.3f)",
 			total, r.Cycles, diff, tol)
@@ -159,7 +160,7 @@ func AuditTraffic(r serverless.TrafficResult) error {
 		return fmt.Errorf("faults: audit traffic: negative tier times (idle %g, cold %g, resident %g, prewarmed %g)",
 			r.IdleMs, r.TierColdMs, r.TierResidentMs, r.TierPrewarmedMs)
 	}
-	tol := 1e-6*r.IdleMs + 1e-3
+	tol := float64(1e-6*r.IdleMs) + 1e-3
 	if sum := r.TierColdMs + r.TierResidentMs + r.TierPrewarmedMs; math.Abs(sum-r.IdleMs) > tol {
 		return fmt.Errorf("faults: audit traffic: tiers sum to %g ms, idle %g ms (diff > tol %g)",
 			sum, r.IdleMs, tol)
@@ -228,7 +229,7 @@ func AuditPredict(l predict.Ledger, forecaster string) error {
 			l.UsedReplayBytes, l.PartialReplayBytes, l.WastedReplayBytes, l.Used, l.Partial, l.Wasted)
 	}
 	if forecaster == "oracle" {
-		tol := 1e-6*float64(l.Judged) + 1e-6
+		tol := float64(1e-6*float64(l.Judged)) + 1e-6
 		switch {
 		case l.Partial != 0:
 			return fmt.Errorf("faults: audit predict: oracle recorded %d partial pre-warms", l.Partial)

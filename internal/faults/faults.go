@@ -271,7 +271,9 @@ func (p *Plan) NodeCrashGapMs(mtbfMs float64) float64 {
 	if !p.armed[NodeCrash] || mtbfMs <= 0 {
 		return 0
 	}
-	g := -math.Log(1-p.rng.Float64()) * mtbfMs
+	// float64(...) rounds the draw, so arm64 cannot fuse its scaling into
+	// the subtraction (make fmagate).
+	g := -math.Log(1-float64(p.rng.Float64())) * mtbfMs
 	if g < 1 {
 		g = 1
 	}

@@ -171,12 +171,13 @@ func (f *ewma) Observe(fn string, idleMs float64) {
 		if err < 0 {
 			err = -err
 		}
+		// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
 		if st.n == 1 {
 			st.absErr = err
 		} else {
-			st.absErr = f.alpha*err + (1-f.alpha)*st.absErr
+			st.absErr = float64(f.alpha*err) + float64((1-f.alpha)*st.absErr)
 		}
-		st.mean = f.alpha*idleMs + (1-f.alpha)*st.mean
+		st.mean = float64(f.alpha*idleMs) + float64((1-f.alpha)*st.mean)
 	}
 	st.n++
 }

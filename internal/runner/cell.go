@@ -54,7 +54,8 @@ func (m Mode) String() string {
 // platform under which regime, and how much of it is measured. Cells are
 // pure values — the executor builds a fresh server from the content, so two
 // cells with equal content always produce equal measurements. That property
-// is what makes them content-addressable.
+// is what makes them content-addressable; the content is every field but
+// Exec.
 type Cell struct {
 	// Workload names the function (workload.ByName).
 	Workload string
@@ -74,11 +75,17 @@ type Cell struct {
 	// Audit cross-checks every measured invocation against the faults
 	// package's conservation invariants.
 	Audit bool
-	// Variant tags cells that need a custom executor (Engine.MeasureFunc):
-	// comparator prefetchers, compaction, snapshot adoption. Standard cells
-	// leave it empty. The tag participates in the cache key, so custom
-	// setups can never collide with standard ones.
+	// Variant names the setup of a cell that carries its own executor
+	// (comparator prefetchers, compaction, snapshot adoption, traffic
+	// sweeps); standard cells leave it empty. It is a cache-key and
+	// progress label only: nothing parses it back.
 	Variant string
+	// Exec, when non-nil, runs the cell on a cache miss in place of
+	// Execute. It is set exactly when Variant is non-empty (Engine.Measure
+	// rejects either mismatch), and it is not part of the content Key
+	// hashes: Variant, together with the cell's other fields, must
+	// determine everything Exec reads.
+	Exec func(Cell) (Measurement, error)
 }
 
 // Label names the cell in progress lines and telemetry.
@@ -171,12 +178,9 @@ func (m Measurement) MPKI(s mem.CacheStats, k mem.Kind) float64 {
 }
 
 // Execute runs one standard cell from scratch: a fresh single-purpose server,
-// one deployed instance, warmup then measurement. It is the default executor
-// behind Engine.Measure.
+// one deployed instance, warmup then measurement. It is the executor
+// Engine.Measure runs for cells without an Exec.
 func Execute(c Cell) (Measurement, error) {
-	if c.Variant != "" {
-		return Measurement{}, fmt.Errorf("runner: cell %s has variant %q but no custom executor", c.Label(), c.Variant)
-	}
 	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return Measurement{}, err
@@ -189,7 +193,7 @@ func Execute(c Cell) (Measurement, error) {
 // MeasureInstance runs warmup then measure invocations of inst under md on
 // srv and returns the aggregated measurement window. Custom executors use it
 // after their own server setup. With audit set, every measured invocation
-// and the window's cache counters are checked against the faults package's
+// and the window's counters are checked against the faults package's
 // conservation invariants.
 func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode, warmup, measure int, audit bool) (Measurement, error) {
 	invoke := func() cpu.RunResult {
@@ -201,16 +205,7 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 	for i := 0; i < warmup; i++ {
 		invoke()
 	}
-	srv.Core.Hier.ResetStats()
-	srv.Core.MMU.ResetStats()
-	srv.Core.BP.ResetStats()
-	srv.Core.BTB.ResetStats()
-	if inst.Jukebox != nil {
-		inst.Jukebox.ResetStats()
-	}
-	if inst.Reap != nil {
-		inst.Reap.ResetStats()
-	}
+	BeginWindow(srv, inst)
 
 	var out Measurement
 	for i := 0; i < measure; i++ {
@@ -224,6 +219,33 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 		out.Instrs += res.Instrs
 		out.Cycles += res.Cycles
 	}
+	err := EndWindow(srv, inst, &out, audit, md == Lukewarm)
+	return out, err
+}
+
+// BeginWindow opens a measurement window: it zeroes every counter the
+// window reports, on srv's core and on inst's mechanisms.
+func BeginWindow(srv *serverless.Server, inst *serverless.Instance) {
+	srv.Core.Hier.ResetStats()
+	srv.Core.MMU.ResetStats()
+	srv.Core.BP.ResetStats()
+	srv.Core.BTB.ResetStats()
+	if inst.Jukebox != nil {
+		inst.Jukebox.ResetStats()
+	}
+	if inst.Reap != nil {
+		inst.Reap.ResetStats()
+	}
+}
+
+// EndWindow closes a window opened by BeginWindow whose invocations the
+// caller merged into out: it drains unused prefetches and copies the cache,
+// DRAM, Jukebox and REAP counters into out. With audit set it checks the
+// Jukebox and REAP ledgers, and — when flushed reports that every measured
+// invocation started from flushed caches — the cache counters' conservation
+// too; windows that start warm legitimately carry pre-reset prefetched lines
+// across the stats reset.
+func EndWindow(srv *serverless.Server, inst *serverless.Instance, out *Measurement, audit, flushed bool) error {
 	hier := srv.Core.Hier
 	hier.DrainUnusedPrefetches()
 	out.L1I = hier.L1I.Stats
@@ -236,32 +258,32 @@ func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode,
 	}
 	if inst.Jukebox != nil {
 		out.JB = inst.Jukebox.Stats
-		if audit {
-			if err := faults.AuditJukebox(out.JB); err != nil {
-				return out, fmt.Errorf("%s: %w", inst.Workload.Name, err)
-			}
-		}
 	}
 	if inst.Reap != nil {
 		out.Reap = inst.Reap.Stats
-		if audit {
-			if err := faults.AuditReap(out.Reap); err != nil {
-				return out, fmt.Errorf("%s: %w", inst.Workload.Name, err)
-			}
+	}
+	if !audit {
+		return nil
+	}
+	if inst.Jukebox != nil {
+		if err := faults.AuditJukebox(out.JB); err != nil {
+			return fmt.Errorf("%s: %w", inst.Workload.Name, err)
 		}
 	}
-	// Cache-counter conservation holds within a window whenever the window
-	// starts from flushed caches (the lukewarm regime); reference windows
-	// legitimately carry pre-reset prefetched lines across the stats reset.
-	if audit && md == Lukewarm {
+	if inst.Reap != nil {
+		if err := faults.AuditReap(out.Reap); err != nil {
+			return fmt.Errorf("%s: %w", inst.Workload.Name, err)
+		}
+	}
+	if flushed {
 		for _, c := range []struct {
 			name  string
 			stats mem.CacheStats
 		}{{"L1I", out.L1I}, {"L2", out.L2}, {"LLC", out.LLC}} {
 			if err := faults.AuditCache(c.name, c.stats); err != nil {
-				return out, fmt.Errorf("%s: %w", inst.Workload.Name, err)
+				return fmt.Errorf("%s: %w", inst.Workload.Name, err)
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -9,7 +9,10 @@
 // telemetry: per-cell wall time, cache hit/miss counters, and optional live
 // progress lines. The experiment runners in internal/experiments submit all
 // their measurements through one Engine, which the lukewarm CLI configures
-// from its -jobs, -cache and -progress flags.
+// from its -jobs, -cache and -progress flags. A standard cell runs through
+// Execute; a cell whose setup goes further (a comparator prefetcher, a
+// traffic sweep, an idle gap) carries its own executor in Cell.Exec and a
+// Variant label that keys it apart in the cache.
 //
 // Determinism contract: a cell's result depends only on the cell's content,
 // never on scheduling. Every cell builds its own simulated server from its
@@ -155,9 +158,8 @@ func (e *Engine) note(done, total int, label string, wall time.Duration, hit boo
 // fails; the returned error is the failing unit with the lowest index, so
 // error reporting is as deterministic as the results.
 //
-// fn must not call MapOn or the Measure methods on the same engine (workers
-// would deadlock waiting for themselves); Engine.Cached is the re-entrant
-// way to memoize sub-measurements inside a unit.
+// fn must not call MapOn or Measure on the same engine: workers would
+// deadlock waiting for themselves.
 func MapOn[T any](e *Engine, n int, label func(int) string, fn func(int) (T, error)) ([]T, error) {
 	return mapHit(e, n, label, func(i int) (T, bool, error) {
 		v, err := fn(i)
@@ -212,43 +214,31 @@ func mapHit[T any](e *Engine, n int, label func(int) string, fn func(int) (T, bo
 	return results, nil
 }
 
-// Measure executes a batch of standard cells (Variant == "") through the
-// pool and the cache, returning measurements in cell order.
+// Measure executes a batch of cells through the pool and the cache,
+// returning measurements in cell order. A cache miss runs the cell's Exec,
+// or Execute when it has none.
 func (e *Engine) Measure(cells []Cell) ([]Measurement, error) {
-	return e.MeasureFunc(cells, Execute)
-}
-
-// MeasureFunc is Measure with a custom executor, for cells whose server
-// setup goes beyond Execute's (attached comparator prefetchers, mid-run
-// page compaction, snapshot adoption...). Such cells carry a non-empty
-// Variant naming the setup, which keys the cache alongside the standard
-// fields; exec is only invoked on cache misses.
-func (e *Engine) MeasureFunc(cells []Cell, exec func(Cell) (Measurement, error)) ([]Measurement, error) {
 	return mapHit(e, len(cells), func(i int) string { return cells[i].Label() },
 		func(i int) (Measurement, bool, error) {
-			return e.lookup(cells[i], exec)
+			c := cells[i]
+			// An Exec cell without a Variant would share a standard cell's
+			// key; a Variant cell without an Exec has nothing to run it.
+			if (c.Exec != nil) != (c.Variant != "") {
+				return Measurement{}, false, fmt.Errorf("runner: cell %s: Exec must be set exactly when Variant is", c.Label())
+			}
+			key := c.Key()
+			if m, ok := e.cache.Get(key); ok {
+				return m, true, nil
+			}
+			exec := c.Exec
+			if exec == nil {
+				exec = Execute
+			}
+			m, err := exec(c)
+			if err != nil {
+				return m, false, err
+			}
+			e.cache.Put(key, m)
+			return m, false, nil
 		})
-}
-
-// Cached memoizes one cell through the engine's cache, executing it on a
-// miss. Unlike the batch methods it runs on the caller's goroutine, so it is
-// safe (and intended) to call from inside a MapOn unit that needs cacheable
-// sub-measurements.
-func (e *Engine) Cached(c Cell, exec func(Cell) (Measurement, error)) (Measurement, error) {
-	m, _, err := e.lookup(c, exec)
-	return m, err
-}
-
-// lookup is the cache-or-execute core shared by MeasureFunc and Cached.
-func (e *Engine) lookup(c Cell, exec func(Cell) (Measurement, error)) (Measurement, bool, error) {
-	key := c.Key()
-	if m, ok := e.cache.Get(key); ok {
-		return m, true, nil
-	}
-	m, err := exec(c)
-	if err != nil {
-		return m, false, err
-	}
-	e.cache.Put(key, m)
-	return m, false, nil
 }

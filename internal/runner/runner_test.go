@@ -103,6 +103,11 @@ func TestCellKey(t *testing.T) {
 	if withJB.Key() != sameJB.Key() {
 		t.Error("equal Jukebox configs behind distinct pointers must share a key")
 	}
+	withExec := base
+	withExec.Exec = func(Cell) (Measurement, error) { return Measurement{}, nil }
+	if withExec.Key() != base.Key() {
+		t.Error("Exec must not enter the key")
+	}
 	mutants := []func(*Cell){
 		func(c *Cell) { c.Workload = "Email-P" },
 		func(c *Cell) { c.CPU = cpu.BroadwellConfig() },
@@ -126,10 +131,20 @@ func TestCellKey(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsVariantCells pins the one rule that ties a cell to its
+// executor: Exec is set exactly when Variant is. The engine rejects either
+// mismatch by label before it looks the cell up, so an Exec cell can never
+// share a standard cell's key.
 func TestExecuteRejectsVariantCells(t *testing.T) {
-	_, err := Execute(Cell{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Variant: "custom", Measure: 1})
-	if err == nil {
-		t.Fatal("Execute accepted a variant cell")
+	exec := func(Cell) (Measurement, error) { return Measurement{}, nil }
+	for _, c := range []Cell{
+		{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Variant: "custom", Measure: 1},
+		{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Exec: exec, Measure: 1},
+	} {
+		_, err := testEngine(t, 1).Measure([]Cell{c})
+		if err == nil || !strings.Contains(err.Error(), c.Label()) {
+			t.Errorf("Measure(%s) error = %v, want one naming the cell", c.Label(), err)
+		}
 	}
 }
 
@@ -174,35 +189,40 @@ func TestMeasureMemoizes(t *testing.T) {
 	}
 }
 
-func TestMeasureFuncCustomExecutorAndCachedReentrancy(t *testing.T) {
+func TestMeasureRunsCellExecutors(t *testing.T) {
 	e := testEngine(t, 4)
 	var execs atomic.Int64
 	exec := func(c Cell) (Measurement, error) {
 		execs.Add(1)
 		return Measurement{Instrs: uint64(len(c.Variant))}, nil
 	}
+	std := Cell{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Mode: Lukewarm, Warmup: 1, Measure: 1}
+	want, err := Execute(std)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cells := []Cell{
-		{Workload: "Auth-G", Variant: "v1", Measure: 1},
-		{Workload: "Auth-G", Variant: "custom", Measure: 1},
+		std,
+		{Workload: "Auth-G", Variant: "v1", Measure: 1, Exec: exec},
+		{Workload: "Auth-G", Variant: "custom", Measure: 1, Exec: exec},
 	}
-	ms, err := e.MeasureFunc(cells, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms[0].Instrs != 2 || ms[1].Instrs != 6 {
-		t.Errorf("ms = %+v", ms)
-	}
-	// Cached is the re-entrant path: memoized sub-measurements inside MapOn
-	// units must not deadlock and must hit the same cache.
-	_, err = MapOn(e, 4, func(int) string { return "outer" }, func(i int) (int, error) {
-		m, err := e.Cached(cells[0], exec)
-		return int(m.Instrs), err
-	})
-	if err != nil {
-		t.Fatal(err)
+	for round := 1; round <= 2; round++ {
+		ms, err := e.Measure(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ms[0], want) {
+			t.Errorf("round %d: the standard cell did not run through Execute", round)
+		}
+		if ms[1].Instrs != 2 || ms[2].Instrs != 6 {
+			t.Errorf("round %d: Exec cells measured %+v, %+v", round, ms[1], ms[2])
+		}
 	}
 	if n := execs.Load(); n != 2 {
-		t.Errorf("executor ran %d times, want 2 (everything else cached)", n)
+		t.Errorf("Exec ran %d times, want 2 (the second batch is all cached)", n)
+	}
+	if st := e.Stats(); st.CacheHits != uint64(len(cells)) {
+		t.Errorf("stats = %+v, want %d hits from the second batch", st, len(cells))
 	}
 }
 

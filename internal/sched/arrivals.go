@@ -104,8 +104,9 @@ func (s Shape) GapMs(rng *program.RNG, nowMs float64) float64 {
 		}
 		return exp(rng, s.MeanIATms*4.5)
 	case Diurnal:
-		rate := 1 + DiurnalAmplitude*math.Sin(2*math.Pi*nowMs/s.period())
-		jitter := 1 + DiurnalJitter*(2*rng.Float64()-1)
+		// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
+		rate := 1 + float64(DiurnalAmplitude*math.Sin(2*math.Pi*nowMs/s.period()))
+		jitter := 1 + float64(DiurnalJitter*(2*float64(rng.Float64())-1))
 		return s.MeanIATms / rate * jitter
 	}
 	return s.MeanIATms

@@ -162,8 +162,9 @@ func (p *hybridHistogram) decide(h *IATHistogram, idleMs float64) Decision {
 		// Unpredictable: conservative keep-alive at the p99 gap, no pre-warm.
 		return fixedTimeout{timeoutMs: p99}.Decide("", idleMs)
 	}
-	head := p5 / 8
-	prewarmAt := 0.8 * p5
+	// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
+	head := float64(p5 / 8)
+	prewarmAt := float64(0.8 * p5)
 	switch {
 	case idleMs <= head:
 		// Intra-burst re-invocation: never left memory.

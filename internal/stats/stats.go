@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
 // simulator: streaming summaries, geometric means, Jaccard set commonality,
-// histograms, and percentage helpers.
+// percentiles, and percentage helpers.
 //
 // Everything in this package is deterministic and allocation-conscious; the
 // experiment runners lean on it to aggregate per-invocation measurements into
@@ -33,7 +33,7 @@ func (s *Summary) Add(v float64) {
 	}
 	s.n++
 	s.sum += v
-	s.sumq += v * v
+	s.sumq += float64(v * v) // float64 rounds the product: no fused add on arm64 (make fmagate)
 }
 
 // N reports the number of observations recorded so far.
@@ -146,14 +146,15 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // MergeSorted sorts vs in place and merges it into the ascending slice
