@@ -21,22 +21,34 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lukewarmlint ./...
 
-# fmagate cross-compiles the CLI for arm64 and fails if a package that holds
-# simulation state contains a fused multiply-add: the walker, the core, the
-# MMU, the caches, the scheduler, the forecasters, the server, the fleet,
-# the fault plans and auditors, and the statistics. The Go spec lets arm64
-# fuse x*y + z, rounding once where amd64 rounds twice, so a fused op there
-# could change instruction streams, timings or arrival gaps across GOARCH;
-# an explicit float64(...) conversion around the product prevents it. The
-# experiment table renderers are not gated yet.
+# fmagate cross-compiles the CLI for the four architectures whose Go backend
+# may fuse x*y + z (arm64, ppc64le, riscv64, s390x) and fails if any
+# lukewarm/ function contains a fused multiply-add. The Go spec lets them
+# round once where amd64 rounds twice, so a fused op could change
+# instruction streams, timings, arrival gaps or a rendered table across
+# GOARCH; an explicit float64(...) conversion around the product prevents
+# it. Each architecture has its own mnemonics in `go tool objdump` (s390x
+# prints the compiler's fused ops as MADBR/MSDBR, its vector forms as
+# WFMADB/WFMSDB). The runtime itself has fused ops on all four, so a pattern
+# that matches nothing anywhere in the binary is a typo and fails too.
 fmagate:
-	GOARCH=arm64 $(GO) build -o .lukewarm-arm64 ./cmd/lukewarm
-	$(GO) tool objdump .lukewarm-arm64 > .lukewarm-arm64.s
-	@grep -q '^TEXT lukewarm/internal/program[.]' .lukewarm-arm64.s || { echo "fmagate: no internal/program code in the disassembly"; exit 1; }
-	@fused=$$(awk '/^TEXT /{fn=$$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/{print fn}' .lukewarm-arm64.s | grep -E '^lukewarm/internal/(program|cpu|vm|mem|sched|predict|serverless|cluster|faults|stats)[.]' | sort | uniq -c); \
-	rm -f .lukewarm-arm64 .lukewarm-arm64.s; \
-	if [ -n "$$fused" ]; then echo "fused multiply-adds (count, function):"; echo "$$fused"; exit 1; fi; \
-	echo "fmagate: no fused multiply-adds in internal/{program,cpu,vm,mem,sched,predict,serverless,cluster,faults,stats}"
+	@rc=0; for arch in arm64 ppc64le riscv64 s390x; do \
+		case $$arch in \
+		arm64|riscv64) pat='FN?M(ADD|SUB)[DS]' ;; \
+		ppc64le) pat='FN?M(ADD|SUB)S?' ;; \
+		s390x) pat='W?FN?M[AS][DS]B|M[AS][DE]BR?' ;; \
+		esac; \
+		GOARCH=$$arch $(GO) build -o .lukewarm-$$arch ./cmd/lukewarm || exit 1; \
+		$(GO) tool objdump .lukewarm-$$arch > .lukewarm-$$arch.s || exit 1; \
+		ops=$$(awk -v re="^($$pat)$$" '$$4 ~ re' .lukewarm-$$arch.s | wc -l); \
+		ours=$$(grep -c '^TEXT lukewarm/' .lukewarm-$$arch.s); \
+		fused=$$(awk -v re="^($$pat)$$" '/^TEXT /{fn=$$2} $$4 ~ re {print fn}' .lukewarm-$$arch.s | grep '^lukewarm/' | sort | uniq -c); \
+		rm -f .lukewarm-$$arch .lukewarm-$$arch.s; \
+		if [ "$$ops" -eq 0 ]; then echo "fmagate: $$arch: /$$pat/ matches no instruction in the binary"; rc=1; \
+		elif [ "$$ours" -eq 0 ]; then echo "fmagate: $$arch: no lukewarm/ code in the disassembly"; rc=1; \
+		elif [ -n "$$fused" ]; then echo "fmagate: $$arch: fused multiply-adds (count, function):"; echo "$$fused"; rc=1; \
+		else echo "fmagate: $$arch: no fused multiply-adds in lukewarm/ ($$ops elsewhere in the binary)"; fi; \
+	done; exit $$rc
 
 # bench captures the performance trajectory: the fleet-simulation benchmarks,
 # the raw simulator-throughput benchmark, the REAP restore path, the arrival

@@ -201,7 +201,7 @@ func propTrafficConservation() error {
 }
 
 // propTrafficDeterminism checks that two fresh servers serving the identical
-// traffic configuration produce the identical summary — the foundation the
+// traffic configuration produce the identical result — the foundation the
 // content-addressed result cache and the golden harness stand on.
 func propTrafficDeterminism() error {
 	a, _, err := runTraffic(2)
@@ -212,9 +212,8 @@ func propTrafficDeterminism() error {
 	if err != nil {
 		return err
 	}
-	if !reflect.DeepEqual(a.Summary(), b.Summary()) {
-		return fmt.Errorf("identical traffic configs produced different summaries:\n%+v\n%+v",
-			a.Summary(), b.Summary())
+	if !reflect.DeepEqual(a, b) {
+		return fmt.Errorf("identical traffic configs produced different results:\n%+v\n%+v", a, b)
 	}
 	return nil
 }

@@ -60,9 +60,9 @@ type Config struct {
 	FleetPlacer sched.Placer
 	// NodePlacer, when set, builds a fresh per-core placement policy for
 	// each node (stateful policies must not be shared across nodes); it
-	// overrides Traffic.Placer. When nil, Traffic.Placer is used as-is on
-	// every node — fine for the stateless policies, wrong for stateful ones
-	// on a multi-node fleet.
+	// and Traffic.Placer are mutually exclusive (Validate rejects both).
+	// When nil, Traffic.Placer is used as-is on every node — fine for the
+	// stateless policies, wrong for stateful ones on a multi-node fleet.
 	NodePlacer func() sched.Placer
 
 	// DeadlineMs fails any request still unserved this long after its
@@ -127,6 +127,8 @@ func (c Config) Validate() error {
 		return cfgerr.New("cluster: Nodes must be positive, got %d", c.Nodes)
 	case len(c.Workloads) == 0:
 		return cfgerr.New("cluster: no workloads deployed")
+	case c.NodePlacer != nil && c.Traffic.Placer != nil:
+		return cfgerr.New("cluster: NodePlacer and Traffic.Placer are both set; set one")
 	case c.Traffic.MaxQueue != 0 || c.Traffic.ShedAfterMs > 0:
 		return cfgerr.New("cluster: node-level valves (MaxQueue %d, ShedAfterMs %g) must be off; the fleet front end owns overload protection",
 			c.Traffic.MaxQueue, c.Traffic.ShedAfterMs)
@@ -328,7 +330,7 @@ func newRun(cfg Config) (*run, error) {
 			fIdx := len(r.flows)
 			r.flows = append(r.flows, flow{wIdx: w, fn: cfg.Workloads[w].Name, remaining: cfg.Traffic.InvocationsPerInstance})
 			first := r.nodes[n].srv.Core.Now() +
-				mem.Cycle(r.arrivalRNG.Float64()*cfg.Traffic.MeanIATms*r.cyclesPerMs)
+				r.cycles(r.arrivalRNG.Float64()*cfg.Traffic.MeanIATms)
 			r.push(event{at: first, kind: evArrival, flow: fIdx, origAt: first,
 				reqKey: reqKey(fIdx, 0)})
 		}
@@ -339,7 +341,7 @@ func newRun(cfg Config) (*run, error) {
 	if cfg.Faults != nil && cfg.Faults.Armed(faults.NodeCrash) && cfg.NodeCrashMTBFms > 0 {
 		for n := range r.nodes {
 			if gap := cfg.Faults.NodeCrashGapMs(cfg.NodeCrashMTBFms); gap > 0 {
-				r.push(event{at: r.lastEventAt + mem.Cycle(gap*r.cyclesPerMs), kind: evNodeCrash, node: n})
+				r.push(event{at: r.lastEventAt + r.cycles(gap), kind: evNodeCrash, node: n})
 			}
 		}
 	}
@@ -375,6 +377,11 @@ func reqKey(flowIdx, reqIdx int) uint64 {
 // push enqueues an event at its own time.
 func (r *run) push(e event) { r.q.Push(e.at, e) }
 
+// cycles converts a span in milliseconds to cycles. float64(...) rounds the
+// product, so no architecture fuses it into the unsigned conversion (make
+// fmagate).
+func (r *run) cycles(ms float64) mem.Cycle { return mem.Cycle(float64(ms * r.cyclesPerMs)) }
+
 // accountTier charges the time since the last event to the current tier.
 func (r *run) accountTier(at mem.Cycle) {
 	if at > r.lastEventAt {
@@ -389,7 +396,7 @@ func (r *run) accountTier(at mem.Cycle) {
 // with the node.
 func (r *run) crashNode(e event) {
 	nd := r.nodes[e.node]
-	nd.downUntil = e.at + mem.Cycle(r.cfg.NodeDownMs*r.cyclesPerMs)
+	nd.downUntil = e.at + r.cycles(r.cfg.NodeDownMs)
 	for _, inst := range nd.insts {
 		nd.sim.MarkCrashed(inst)
 	}
@@ -397,7 +404,7 @@ func (r *run) crashNode(e event) {
 	r.res.NodeCrashes++
 	r.cfg.Faults.RecordInjection(faults.NodeCrash)
 	if gap := r.cfg.Faults.NodeCrashGapMs(r.cfg.NodeCrashMTBFms); gap > 0 {
-		r.push(event{at: nd.downUntil + mem.Cycle(gap*r.cyclesPerMs), kind: evNodeCrash, node: e.node})
+		r.push(event{at: nd.downUntil + r.cycles(gap), kind: evNodeCrash, node: e.node})
 	}
 }
 
@@ -479,7 +486,7 @@ func (r *run) serveAttempt(e event) {
 		r.resolve(e, first)
 		return
 	}
-	if r.cfg.DeadlineMs > 0 && e.at > e.origAt+mem.Cycle(r.cfg.DeadlineMs*r.cyclesPerMs) {
+	if r.cfg.DeadlineMs > 0 && e.at > e.origAt+r.cycles(r.cfg.DeadlineMs) {
 		r.res.DeadlineFailed++
 		r.res.Failed++
 		r.resolve(e, first)
@@ -601,7 +608,7 @@ func (r *run) nodeFailure(n int, at mem.Cycle) {
 	nd := r.nodes[n]
 	nd.consecFails++
 	if r.cfg.EjectAfter > 0 && nd.consecFails >= r.cfg.EjectAfter && at >= nd.ejectedUntil {
-		nd.ejectedUntil = at + mem.Cycle(r.cfg.EjectMs*r.cyclesPerMs)
+		nd.ejectedUntil = at + r.cycles(r.cfg.EjectMs)
 		r.res.Ejections++
 		r.push(event{at: nd.ejectedUntil, kind: evReadmit, node: n})
 	}
@@ -644,7 +651,7 @@ func (r *run) attemptFailed(e event, first bool) {
 		// float64(...) rounds each product, so arm64 cannot fuse it into the add (make fmagate).
 		backoff := float64(r.cfg.RetryBackoffMs * float64(uint64(1)<<uint(e.attempt)))
 		backoff += float64(r.jitterRNG.Float64() * backoff / 2)
-		at := e.at + mem.Cycle(backoff*r.cyclesPerMs)
+		at := e.at + r.cycles(backoff)
 		if at <= e.at {
 			at = e.at + 1
 		}
@@ -678,7 +685,7 @@ func (r *run) nextArrival(e event) {
 	if f.remaining <= 0 {
 		return
 	}
-	gap := mem.Cycle(r.shape.GapMs(r.arrivalRNG, float64(e.at)/r.cyclesPerMs) * r.cyclesPerMs)
+	gap := r.cycles(r.shape.GapMs(r.arrivalRNG, float64(e.at)/r.cyclesPerMs))
 	if gap == 0 {
 		gap = 1
 	}

@@ -10,6 +10,7 @@ import (
 	"lukewarm/internal/faults"
 	"lukewarm/internal/predict"
 	"lukewarm/internal/reap"
+	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/workload"
 )
@@ -249,6 +250,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"prob out of range", func(c *Config) { c.InstanceCrashProb = 1.5 }},
 		{"probs without plan", func(c *Config) { c.DispatchFlakeProb = 0.1 }},
 		{"mtbf no down time", func(c *Config) { c.Faults = faults.NewPlan(1, faults.NodeCrash); c.NodeCrashMTBFms = 10 }},
+		{"two node placers", func(c *Config) {
+			c.Traffic.Placer = sched.RoundRobin()
+			c.NodePlacer = sched.EarliestAvailable
+		}},
 	}
 	for _, tc := range cases {
 		cfg := base()

@@ -175,12 +175,12 @@ type Summary struct {
 	TierShifts                                   int
 	Injections                                   uint64
 	SimulatedMs                                  float64
-	PerNode                                      []serverless.TrafficSummary
+	PerNode                                      []serverless.TrafficResult
 }
 
 // Summary projects the result into its cacheable form.
 func (r *Result) Summary() Summary {
-	s := Summary{
+	return Summary{
 		Nodes:   r.Nodes,
 		Offered: r.Offered, Served: r.Served, Shed: r.Shed, Failed: r.Failed,
 		ShedLowPriority: r.ShedLowPriority, TierRejected: r.TierRejected,
@@ -201,11 +201,8 @@ func (r *Result) Summary() Summary {
 		TierShifts:        r.TierShifts,
 		Injections:        r.Injections,
 		SimulatedMs:       r.SimulatedMs,
+		PerNode:           r.PerNode,
 	}
-	for i := range r.PerNode {
-		s.PerNode = append(s.PerNode, r.PerNode[i].Summary())
-	}
-	return s
 }
 
 // String renders a multi-line fleet report.

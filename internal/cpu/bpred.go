@@ -173,7 +173,8 @@ func (bp *BranchPredictor) DecayFraction(frac float64, rng func() uint64) {
 	if frac <= 0 {
 		return
 	}
-	threshold := uint64(frac * float64(1<<32))
+	// float64(...) rounds the product, so no architecture fuses it into the unsigned conversion (make fmagate).
+	threshold := uint64(float64(frac * float64(1<<32)))
 	decay := func(table []uint8) {
 		for i := range table {
 			if rng()&0xFFFFFFFF < threshold {
@@ -282,7 +283,8 @@ func (b *BTB) EvictFraction(frac float64, rng func() uint64) {
 	if frac <= 0 {
 		return
 	}
-	threshold := uint64(frac * float64(1<<32))
+	// float64(...) rounds the product, so no architecture fuses it into the unsigned conversion (make fmagate).
+	threshold := uint64(float64(frac * float64(1<<32)))
 	for i := range b.valid {
 		if b.valid[i] && rng()&0xFFFFFFFF < threshold {
 			b.valid[i] = false

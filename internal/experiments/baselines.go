@@ -135,7 +135,8 @@ func Baselines(opt Options) (BaselinesResult, error) {
 				bytes += b
 			}
 			scale := float64(base.Instrs) / float64(m.Instrs)
-			a.bw.Add(stats.Pct(float64(bytes)*scale-float64(baseBytes), float64(baseBytes)))
+			// float64(...) rounds the product, so it cannot fuse into the subtract (make fmagate).
+			a.bw.Add(stats.Pct(float64(float64(bytes)*scale)-float64(baseBytes), float64(baseBytes)))
 			a.meta.Add(float64(m.MetaBytes) / 1024)
 		}
 	}

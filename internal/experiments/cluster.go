@@ -246,7 +246,8 @@ func (r ClusterResult) WastedHedgePct() float64 {
 	}
 	served := 0.0
 	for _, n := range row.C.PerNode {
-		served += n.MeanServiceCycles * float64(n.Served)
+		// float64(...) rounds the product, so it cannot fuse into the add (make fmagate).
+		served += float64(n.ServiceCycles.Mean() * float64(n.Served))
 	}
 	return stats.Pct(row.C.WastedHedgeCycles, served)
 }

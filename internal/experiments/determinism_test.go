@@ -46,6 +46,14 @@ func renderTables(t *testing.T, eng *runner.Engine) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, err := ServerSim(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scl, err := Scaling(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]string{
 		"fig2":  char.Fig2Table().String(),
 		"fig10": perf.Fig10Table().String(),
@@ -67,11 +75,18 @@ func renderTables(t *testing.T, eng *runner.Engine) map[string]string {
 		"coldstart":           cs.Table().String(),
 		"coldstart-crossover": cs.CrossoverTable().String(),
 		"coldstart-staleness": cs.StalenessTable().String(),
+		// The server and scaling tables gate the traffic engine on one to
+		// four cores under ambient thrash, through the same cached traffic
+		// cells as the scheduling sweep.
+		"server":  srv.Table().String(),
+		"scaling": scl.Table().String(),
 		// The raw rows are stricter than the rendered tables (no rounding):
 		// every counter and float must match bit-for-bit.
 		"sched-rows":     fmt.Sprintf("%+v", sc),
 		"cluster-rows":   fmt.Sprintf("%+v", cl),
 		"coldstart-rows": fmt.Sprintf("%+v", cs),
+		"server-rows":    fmt.Sprintf("%+v", srv),
+		"scaling-rows":   fmt.Sprintf("%+v", scl),
 	}
 }
 
@@ -85,9 +100,9 @@ func engineWith(t *testing.T, jobs int, dir string) *runner.Engine {
 }
 
 // TestTablesDeterministicAcrossJobsAndCache is the engine's end-to-end
-// regression gate: the Fig. 2, 10 and 13 tables must be byte-identical
+// regression gate: every gated table and raw row must be byte-identical
 // whether cells run serially or eight-wide, and whether the run starts cold
-// or entirely from a warm on-disk cache.
+// or entirely from a warm on-disk cache — where every cell must hit.
 func TestTablesDeterministicAcrossJobsAndCache(t *testing.T) {
 	dir := t.TempDir()
 	ref := renderTables(t, engineWith(t, 1, ""))
@@ -106,9 +121,8 @@ func TestTablesDeterministicAcrossJobsAndCache(t *testing.T) {
 			t.Errorf("%s: warm-cache table differs from cold:\n--- cold ---\n%s--- warm ---\n%s", name, want, got)
 		}
 	}
-	st := warmEng.Stats()
-	if st.CacheHits == 0 {
-		t.Error("warm-cache run recorded no cache hits")
+	if st := warmEng.Stats(); st.CacheHits != st.Cells {
+		t.Errorf("warm-cache run hit %d of %d cells, want all", st.CacheHits, st.Cells)
 	}
 }
 

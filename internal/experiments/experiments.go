@@ -7,10 +7,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/faults"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/workload"
@@ -73,6 +75,36 @@ func (o Options) variantCell(variant, w string, cfg cpu.Config, jb *core.Config,
 	c := o.cell(w, cfg, jb, false, md)
 	c.Variant, c.Exec = variant, exec
 	return c
+}
+
+// trafficCell is a variantCell whose executor deploys suite, in order, on a
+// Skylake server with cores cores and the cell's Jukebox and REAP
+// configurations, then serves traffic() through it. traffic is called once
+// per execution: placers, keep-alives and forecasters learn, so every run
+// needs fresh ones. Under Audit the result's conservation invariants (and,
+// with Predict armed, the pre-warm ledger's) are checked.
+func (o Options) trafficCell(variant string, suite []workload.Workload, cores int, jb *core.Config, md mode, traffic func() serverless.TrafficConfig) runner.Cell {
+	return o.variantCell(variant, suiteTag(suite), cpu.SkylakeConfig(), jb, md, func(c runner.Cell) (measured, error) {
+		srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: cores, Jukebox: c.Jukebox, Reap: c.Reap})
+		for _, w := range suite {
+			srv.Deploy(w)
+		}
+		cfg := traffic()
+		res, err := srv.ServeTraffic(cfg)
+		if err != nil {
+			return measured{}, err
+		}
+		if c.Audit {
+			err = faults.AuditTraffic(res)
+			if err == nil && cfg.Predict != nil {
+				err = faults.AuditPredict(res.Prewarm, cfg.Predict.Forecaster.Name())
+			}
+			if err != nil {
+				return measured{}, fmt.Errorf("%s: %w", c.Label(), err)
+			}
+		}
+		return measured{Traffic: &res}, nil
+	})
 }
 
 // suite resolves the selected workloads, erroring on unknown names.

@@ -477,7 +477,7 @@ func TestScaling(t *testing.T) {
 		}
 		if i > 0 {
 			prev := r.Rows[i-1]
-			if row.Baseline.P99LatencyCycles() >= prev.Baseline.P99LatencyCycles() {
+			if row.Baseline.P99LatencyCycles >= prev.Baseline.P99LatencyCycles {
 				t.Errorf("p99 latency did not improve from %d to %d cores", prev.Cores, row.Cores)
 			}
 			if row.Baseline.BusyFraction >= prev.Baseline.BusyFraction {

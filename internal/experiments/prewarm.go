@@ -69,8 +69,8 @@ type PrewarmRow struct {
 	Forecaster string
 	// LeadMs is the pre-warm lead (0 for the bare baseline).
 	LeadMs float64
-	// T is the traffic run's summary, pre-warm ledger included.
-	T serverless.TrafficSummary
+	// T is the traffic run's result, pre-warm ledger included.
+	T serverless.TrafficResult
 }
 
 // PrewarmResult backs the pre-warm experiment.
@@ -133,34 +133,6 @@ func (sp prewarmSpec) traffic(suite []workload.Workload) serverless.TrafficConfi
 	return cfg
 }
 
-// exec runs the cell's traffic simulation with suite deployed in order.
-func (sp prewarmSpec) exec(c runner.Cell, suite []workload.Workload) (runner.Measurement, error) {
-	srv := serverless.New(serverless.Config{
-		CPU: c.CPU, Cores: prewarmCores, Jukebox: c.Jukebox, Reap: c.Reap,
-	})
-	for _, w := range suite {
-		srv.Deploy(w)
-	}
-	res, err := srv.ServeTraffic(sp.traffic(suite))
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	if c.Audit {
-		if err := faults.AuditTraffic(res); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Label(), err)
-		}
-		fc := sp.fc
-		if fc == "bare" {
-			fc = ""
-		}
-		if err := faults.AuditPredict(res.Prewarm, fc); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Label(), err)
-		}
-	}
-	sum := res.Summary()
-	return runner.Measurement{Traffic: &sum}, nil
-}
-
 // execPrewarmWarm executes one warm-reference cell: back-to-back
 // invocations of a single function with nothing disturbed, no mechanisms —
 // the readiness ceiling every pre-warm chases.
@@ -220,9 +192,9 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 	for _, sp := range specs {
 		jb := core.DefaultConfig()
 		rc := reap.DefaultConfig()
-		c := opt.variantCell(prewarmVariant(sp.shape, sp.fc, sp.leadMs, sp.invocs),
-			suiteTag(suite), cpu.SkylakeConfig(), &jb, lukewarm,
-			func(c runner.Cell) (runner.Measurement, error) { return sp.exec(c, suite) })
+		c := opt.trafficCell(prewarmVariant(sp.shape, sp.fc, sp.leadMs, sp.invocs),
+			suite, prewarmCores, &jb, lukewarm,
+			func() serverless.TrafficConfig { return sp.traffic(suite) })
 		c.Reap = &rc
 		cells = append(cells, c)
 	}
@@ -238,9 +210,6 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 	}
 
 	for i, sp := range specs {
-		if ms[i].Traffic == nil {
-			return out, fmt.Errorf("prewarm: cell %s returned no traffic summary", cells[i].Label())
-		}
 		out.Rows = append(out.Rows, PrewarmRow{
 			Shape: sp.shape.String(), Forecaster: sp.fc, LeadMs: sp.leadMs,
 			T: *ms[i].Traffic,
@@ -279,11 +248,11 @@ func (r PrewarmResult) PenaltyRemovedPct(shape, fc string, leadMs float64) float
 	if !okB || !okO {
 		return 0
 	}
-	penalty := bare.T.MeanCPI - r.WarmCPI
+	penalty := bare.T.CPI.Mean() - r.WarmCPI
 	if penalty <= 0 {
 		return 0
 	}
-	return (bare.T.MeanCPI - own.T.MeanCPI) / penalty * 100
+	return (bare.T.CPI.Mean() - own.T.CPI.Mean()) / penalty * 100
 }
 
 // OracleBestPenaltyRemovedPct reports the oracle's best penalty recovery
@@ -330,13 +299,13 @@ func (r PrewarmResult) Table() *stats.Table {
 		}
 		l := row.T.Prewarm
 		t.AddRow(row.Shape, row.Forecaster, lead,
-			fmt.Sprintf("%.3f", row.T.MeanCPI), removed,
+			fmt.Sprintf("%.3f", row.T.CPI.Mean()), removed,
 			fmt.Sprint(l.Scheduled),
 			fmt.Sprintf("%d/%d/%d", l.Used, l.Partial, l.Wasted),
 			fmt.Sprintf("%.1f", float64(l.WastedReplayBytes)/1024),
 			fmt.Sprintf("%.1f", l.MeanAbsErrMs()),
 			fmt.Sprintf("%.0f", row.T.TierPrewarmedMs),
-			fmt.Sprintf("%.0f", row.T.P99LatencyCyc))
+			fmt.Sprintf("%.0f", row.T.P99LatencyCycles))
 	}
 	return t
 }

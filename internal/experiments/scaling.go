@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"lukewarm/internal/core"
-	"lukewarm/internal/cpu"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
@@ -31,47 +29,25 @@ type ScalingResult struct {
 // Scaling runs the study.
 func Scaling(opt Options) (ScalingResult, error) {
 	opt = opt.withDefaults()
-	traffic := serverless.TrafficConfig{
-		MeanIATms:              4, // saturating for one core, comfortable for four
-		Poisson:                true,
-		InvocationsPerInstance: opt.Measure + opt.Warmup,
-		AmbientThrash:          true, // the deployed suite samples a larger fleet
-		Seed:                   11,
-	}
 	var out ScalingResult
 	suite, err := opt.suite()
 	if err != nil {
 		return out, err
 	}
 	coreCounts := []int{1, 2, 4}
-	// Each (cores, config) traffic simulation is independent; fan all six out.
-	// Traffic results are distributions, not Measurements, so they bypass the
-	// result cache.
-	trs, err := runner.MapOn(opt.Engine, 2*len(coreCounts),
-		func(i int) string {
-			label := "base"
-			if i%2 == 1 {
-				label = "jukebox"
-			}
-			return fmt.Sprintf("scaling/%dcores/%s", coreCounts[i/2], label)
-		},
-		func(i int) (serverless.TrafficResult, error) {
-			var jb *core.Config
-			if i%2 == 1 {
-				cfg := core.DefaultConfig()
-				jb = &cfg
-			}
-			srv := serverless.New(serverless.Config{CPU: cpu.SkylakeConfig(), Cores: coreCounts[i/2], Jukebox: jb})
-			for _, w := range suite {
-				srv.Deploy(w)
-			}
-			return srv.ServeTraffic(traffic)
-		})
+	// Each (cores, config) traffic simulation is an independent cell. The
+	// mean IAT saturates one core and is comfortable for four; ambient
+	// thrash stands in for the larger fleet the deployed suite samples.
+	var cells []runner.Cell
+	for _, cores := range coreCounts {
+		cells = append(cells, opt.jukeboxPair("scaling", suite, cores, 4, 11)...)
+	}
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
 	for ci, cores := range coreCounts {
-		row := ScalingRow{Cores: cores, Baseline: trs[2*ci], Jukebox: trs[2*ci+1]}
+		row := ScalingRow{Cores: cores, Baseline: *ms[2*ci].Traffic, Jukebox: *ms[2*ci+1].Traffic}
 		row.JukeboxGainPct = stats.SpeedupPct(
 			row.Baseline.ServiceCycles.Mean(), row.Jukebox.ServiceCycles.Mean())
 		out.Rows = append(out.Rows, row)
@@ -85,8 +61,8 @@ func (r ScalingResult) Table() *stats.Table {
 		"Cores", "Base p99 lat [cyc]", "JB p99 lat [cyc]", "Base busy", "JB busy", "JB service gain")
 	for _, row := range r.Rows {
 		t.AddRow(fmt.Sprint(row.Cores),
-			fmt.Sprintf("%.0f", row.Baseline.P99LatencyCycles()),
-			fmt.Sprintf("%.0f", row.Jukebox.P99LatencyCycles()),
+			fmt.Sprintf("%.0f", row.Baseline.P99LatencyCycles),
+			fmt.Sprintf("%.0f", row.Jukebox.P99LatencyCycles),
 			fmt.Sprintf("%.0f%%", row.Baseline.BusyFraction*100),
 			fmt.Sprintf("%.0f%%", row.Jukebox.BusyFraction*100),
 			fmt.Sprintf("%.1f%%", row.JukeboxGainPct))

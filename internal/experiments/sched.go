@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"lukewarm/internal/core"
-	"lukewarm/internal/cpu"
-	"lukewarm/internal/faults"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
-	"lukewarm/internal/workload"
 )
 
 // The scheduling experiment asks the system-level question the paper's
@@ -106,8 +103,8 @@ type SchedRow struct {
 	Shape string
 	// Policy names the placement or keep-alive policy.
 	Policy string
-	// T is the traffic run's summary.
-	T serverless.TrafficSummary
+	// T is the traffic run's result.
+	T serverless.TrafficResult
 }
 
 // SchedResult backs the scheduling experiment.
@@ -171,29 +168,6 @@ func (sp schedSpec) traffic() serverless.TrafficConfig {
 	return cfg
 }
 
-// exec runs the cell's traffic simulation with suite deployed in order.
-func (sp schedSpec) exec(c runner.Cell, suite []workload.Workload) (runner.Measurement, error) {
-	cores := schedKACores
-	if sp.sweep == "place" {
-		cores = schedPlaceCores
-	}
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: cores, Jukebox: c.Jukebox})
-	for _, w := range suite {
-		srv.Deploy(w)
-	}
-	res, err := srv.ServeTraffic(sp.traffic())
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	if c.Audit {
-		if err := faults.AuditTraffic(res); err != nil {
-			return runner.Measurement{}, fmt.Errorf("%s: %w", sp.variant(), err)
-		}
-	}
-	sum := res.Summary()
-	return runner.Measurement{Traffic: &sum}, nil
-}
-
 // Sched runs the scheduling-policy experiment over the selected suite.
 func Sched(opt Options) (SchedResult, error) {
 	opt = opt.withDefaults()
@@ -229,12 +203,12 @@ func Sched(opt Options) (SchedResult, error) {
 		// The placement sweep runs with Jukebox so metadata locality is a
 		// live axis; the keep-alive sweep isolates eviction policy.
 		var jb *core.Config
+		cores := schedKACores
 		if sp.sweep == "place" {
 			cfg := core.DefaultConfig()
-			jb = &cfg
+			cores, jb = schedPlaceCores, &cfg
 		}
-		cells[i] = opt.variantCell(sp.variant(), suiteTag(suite), cpu.SkylakeConfig(), jb, reference,
-			func(c runner.Cell) (runner.Measurement, error) { return sp.exec(c, suite) })
+		cells[i] = opt.trafficCell(sp.variant(), suite, cores, jb, reference, sp.traffic)
 	}
 
 	ms, err := opt.Engine.Measure(cells)
@@ -243,9 +217,6 @@ func Sched(opt Options) (SchedResult, error) {
 	}
 
 	for i, sp := range specs {
-		if ms[i].Traffic == nil {
-			return out, fmt.Errorf("sched: cell %s returned no traffic summary", sp.variant())
-		}
 		row := SchedRow{Shape: sp.shape.String(), Policy: sp.policy, T: *ms[i].Traffic}
 		if sp.sweep == "place" {
 			out.Placement = append(out.Placement, row)
@@ -261,7 +232,7 @@ func (r SchedResult) placementCPI(policy string) []float64 {
 	var cpis []float64
 	for _, row := range r.Placement {
 		if row.Policy == policy {
-			cpis = append(cpis, row.T.MeanCPI)
+			cpis = append(cpis, row.T.CPI.Mean())
 		}
 	}
 	return cpis
@@ -313,12 +284,12 @@ func (r SchedResult) Table() *stats.Table {
 		"Shape", "Placer", "Mean CPI", "Cold", "Shed rate", "Migrations", "JB coverage", "p99 latency [cyc]")
 	for _, row := range r.Placement {
 		t.AddRow(row.Shape, row.Policy,
-			fmt.Sprintf("%.3f", row.T.MeanCPI),
+			fmt.Sprintf("%.3f", row.T.CPI.Mean()),
 			fmt.Sprint(row.T.ColdStarts),
 			fmt.Sprintf("%.1f%%", row.T.ShedRate()*100),
-			fmt.Sprint(row.T.Migrations),
+			fmt.Sprint(row.T.PlacementMigrations),
 			fmt.Sprintf("%.0f%%", row.T.JukeboxCoverage()*100),
-			fmt.Sprintf("%.0f", row.T.P99LatencyCyc))
+			fmt.Sprintf("%.0f", row.T.P99LatencyCycles))
 	}
 	for _, p := range schedPlacers {
 		t.AddRow("geomean", p,
@@ -339,7 +310,7 @@ func (r SchedResult) KeepAliveTable() *stats.Table {
 			fmt.Sprintf("%.1f%%", row.T.ColdStartRate()*100),
 			fmt.Sprint(row.T.PrewarmHits),
 			fmt.Sprintf("%.0f", row.T.ResidentMsPerServed()),
-			fmt.Sprintf("%.3f", row.T.MeanCPI))
+			fmt.Sprintf("%.3f", row.T.CPI.Mean()))
 	}
 	return t
 }

@@ -30,8 +30,8 @@ func TestSchedPlacementSweep(t *testing.T) {
 		if row.T.Served == 0 {
 			t.Errorf("%s/%s served nothing", row.Shape, row.Policy)
 		}
-		if row.T.MeanCPI <= 0 {
-			t.Errorf("%s/%s has non-positive CPI %g", row.Shape, row.Policy, row.T.MeanCPI)
+		if row.T.CPI.Mean() <= 0 {
+			t.Errorf("%s/%s has non-positive CPI %g", row.Shape, row.Policy, row.T.CPI.Mean())
 		}
 	}
 	// The acceptance criterion: sticky placement recovers warmth the
@@ -49,7 +49,7 @@ func TestSchedPlacementSweep(t *testing.T) {
 	rebinds := func(policy, shape string) int {
 		for _, row := range r.Placement {
 			if row.Policy == policy && row.Shape == shape {
-				return row.T.Rebinds
+				return row.T.JukeboxRebinds
 			}
 		}
 		t.Fatalf("missing placement row %s/%s", policy, shape)

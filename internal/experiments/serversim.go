@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"lukewarm/internal/core"
-	"lukewarm/internal/cpu"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
+	"lukewarm/internal/workload"
 )
 
 // ServerSimResult backs the system-level validation: the whole suite
@@ -29,46 +29,45 @@ type ServerSimResult struct {
 // a production host would hold).
 func ServerSim(opt Options) (ServerSimResult, error) {
 	opt = opt.withDefaults()
-	traffic := serverless.TrafficConfig{
-		MeanIATms:              30,
-		Poisson:                true,
-		InvocationsPerInstance: opt.Measure + opt.Warmup,
-		AmbientThrash:          true,
-		Seed:                   7,
-	}
 	var out ServerSimResult
 	suite, err := opt.suite()
 	if err != nil {
 		return out, err
 	}
-	// The two configurations are independent full-server simulations; run
-	// them as two engine jobs (distributions bypass the result cache).
-	trs, err := runner.MapOn(opt.Engine, 2,
-		func(i int) string {
-			if i == 0 {
-				return "serversim/base"
-			}
-			return "serversim/jukebox"
-		},
-		func(i int) (serverless.TrafficResult, error) {
-			var jb *core.Config
-			if i == 1 {
-				cfg := core.DefaultConfig()
-				jb = &cfg
-			}
-			srv := serverless.New(serverless.Config{CPU: cpu.SkylakeConfig(), Jukebox: jb})
-			for _, w := range suite {
-				srv.Deploy(w)
-			}
-			return srv.ServeTraffic(traffic)
-		})
+	ms, err := opt.Engine.Measure(opt.jukeboxPair("serversim", suite, 1, 30, 7))
 	if err != nil {
 		return out, err
 	}
-	out.Baseline, out.Jukebox = trs[0], trs[1]
+	out.Baseline, out.Jukebox = *ms[0].Traffic, *ms[1].Traffic
 	out.ThroughputGainPct = stats.SpeedupPct(
 		out.Baseline.ServiceCycles.Mean(), out.Jukebox.ServiceCycles.Mean())
 	return out, nil
+}
+
+// jukeboxPair builds the baseline and Jukebox traffic cells of one point of
+// the server and scaling studies: suite on cores cores under Poisson
+// arrivals at mean IAT iatMs with ambient thrash, Measure+Warmup
+// invocations per instance.
+func (o Options) jukeboxPair(exp string, suite []workload.Workload, cores int, iatMs float64, seed uint64) []runner.Cell {
+	invocs := o.Measure + o.Warmup
+	traffic := func() serverless.TrafficConfig {
+		return serverless.TrafficConfig{
+			MeanIATms: iatMs, Poisson: true, InvocationsPerInstance: invocs,
+			AmbientThrash: true, Seed: seed,
+		}
+	}
+	jb := core.DefaultConfig()
+	var cells []runner.Cell
+	for _, cfg := range []*core.Config{nil, &jb} {
+		name := "base"
+		if cfg != nil {
+			name = "jukebox"
+		}
+		variant := fmt.Sprintf("%s/%s/cores=%d/iat=%g/inv=%d/seed=%d/poisson/ambient",
+			exp, name, cores, iatMs, invocs, seed)
+		cells = append(cells, o.trafficCell(variant, suite, cores, cfg, reference, traffic))
+	}
+	return cells
 }
 
 // Table renders the comparison.
@@ -80,7 +79,7 @@ func (r ServerSimResult) Table() *stats.Table {
 			fmt.Sprintf("%.3f", tr.CPI.Mean()),
 			fmt.Sprintf("%.0f", tr.ServiceCycles.Mean()),
 			fmt.Sprintf("%.0f", tr.LatencyCycles.Mean()),
-			fmt.Sprintf("%.0f", tr.P99LatencyCycles()),
+			fmt.Sprintf("%.0f", tr.P99LatencyCycles),
 			fmt.Sprintf("%.0f%%", tr.BusyFraction*100))
 	}
 	add("Baseline", r.Baseline)

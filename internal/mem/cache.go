@@ -592,7 +592,8 @@ func (c *Cache) EvictFraction(frac float64, rng func() uint64) {
 		c.Flush()
 		return
 	}
-	threshold := uint64(frac * float64(1<<32))
+	// float64(...) rounds the product, so no architecture fuses it into the unsigned conversion (make fmagate).
+	threshold := uint64(float64(frac * float64(1<<32)))
 	for s := range c.meta {
 		if c.meta[s].epoch != c.epoch {
 			continue // flushed: no valid lines, no draws

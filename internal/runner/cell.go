@@ -21,14 +21,17 @@ import (
 // construction, no cleanup pass needed.
 //
 // v2: Measurement gained the Traffic field (scheduling experiments).
-// v3: Measurement gained the Cluster field and TrafficSummary gained
+// v3: Measurement gained the Cluster field and the traffic summary gained
 // Offered/Failed (fleet simulation).
 // v4: Cells gained the Reap field and Measurement the Reap stats (REAP
 // working-set restore; the data-access observer also shifts prefetcher
 // composition semantics).
-// v5: TrafficSummary gained the readiness-tier partition and the predictive
-// pre-warm ledger (internal/predict).
-const SchemaVersion = 5
+// v5: the traffic summary gained the readiness-tier partition and the
+// predictive pre-warm ledger (internal/predict).
+// v6: Traffic holds the serverless.TrafficResult itself, not a projection
+// of it. Gob matches fields by name, so a v5 entry would decode with CPI,
+// ServiceCycles and LatencyCycles silently zero.
+const SchemaVersion = 6
 
 // Mode selects the execution regime of a measurement cell.
 type Mode uint8
@@ -151,11 +154,10 @@ type Measurement struct {
 	// report (comparator prefetchers); zero for standard cells, whose
 	// Jukebox cost is in JB.
 	MetaBytes int
-	// Traffic holds a whole-server traffic simulation's summary for cells
+	// Traffic holds a whole-server traffic simulation's result for cells
 	// whose custom executor runs ServeTraffic instead of a per-instance
-	// measurement window (the scheduling experiment); nil for standard
-	// cells.
-	Traffic *serverless.TrafficSummary
+	// measurement window (the traffic experiments); nil for standard cells.
+	Traffic *serverless.TrafficResult
 	// Cluster holds a fleet simulation's summary for cells whose custom
 	// executor runs cluster.Run (the cluster experiment); nil otherwise.
 	Cluster *cluster.Summary

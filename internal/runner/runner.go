@@ -11,8 +11,9 @@
 // their measurements through one Engine, which the lukewarm CLI configures
 // from its -jobs, -cache and -progress flags. A standard cell runs through
 // Execute; a cell whose setup goes further (a comparator prefetcher, a
-// traffic sweep, an idle gap) carries its own executor in Cell.Exec and a
-// Variant label that keys it apart in the cache.
+// traffic simulation, a fleet, an idle gap) carries its own executor in
+// Cell.Exec and a Variant label that keys it apart in the cache. Traffic
+// cells store the serverless.TrafficResult itself in Measurement.Traffic.
 //
 // Determinism contract: a cell's result depends only on the cell's content,
 // never on scheduling. Every cell builds its own simulated server from its
@@ -152,9 +153,9 @@ func (e *Engine) note(done, total int, label string, wall time.Duration, hit boo
 
 // MapOn runs fn(i) for every i in [0, n) on the engine's worker pool and
 // returns the results in index order — the deterministic-merge primitive the
-// cell API is built on. Use it directly for experiment units that are not
-// plain measurement cells (traffic simulations, footprint walks, chaos
-// cells). label(i) names unit i in progress lines. All units run even if one
+// cell API is built on. Use it directly for experiment units whose results
+// are not Measurements (footprint walks, chaos cells); they bypass the
+// result cache. label(i) names unit i in progress lines. All units run even if one
 // fails; the returned error is the failing unit with the lowest index, so
 // error reporting is as deterministic as the results.
 //

@@ -13,6 +13,7 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/predict"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/workload"
 )
@@ -259,20 +260,48 @@ func TestCacheDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Measurement{Instrs: 123, Cycles: 456, MetaBytes: 7}
-	c1.Put(42, m)
+	// A populated traffic result: every field set, so a field gob cannot
+	// carry (an unexported one, a Summary's internals) shows up below.
+	tr := serverless.TrafficResult{
+		Offered: 9, Served: 6, Shed: 2, Failed: 1, ColdStarts: 3, PrewarmHits: 1,
+		PlacementMigrations: 4, JukeboxRebinds: 5, ResidentMs: 812.5,
+		IdleMs: 900.25, TierColdMs: 60.5, TierResidentMs: 700.75, TierPrewarmedMs: 139,
+		Prewarm: predict.Ledger{Scheduled: 4, Used: 2, Partial: 1, Wasted: 1, Expired: 1,
+			ReplaySkips: 2, Judged: 5, AbsErrMsSum: 3.375, UsedReplayBytes: 8192,
+			PartialReplayBytes: 2048, WastedReplayBytes: 4096, PrewarmBusyMs: 0.125},
+		SyncReplays: 3, SyncReplayMs: 1.5,
+		PerFunction: []serverless.FuncTraffic{
+			{Name: "Auth-G", Served: 4, ColdStarts: 2, Shed: 1, CPISum: 5.75, PrewarmsUsed: 2, PredJudged: 3, PredAbsErrMsSum: 2.25},
+			{Name: "Email-P", Served: 2, ColdStarts: 1, Shed: 1, Failed: 1, CPISum: 3.1, PrewarmsWasted: 1},
+		},
+		BusyFraction: 0.4375, SimulatedMs: 1234.5, P99LatencyCycles: 98765.25,
+	}
+	for i, v := range []float64{1.25, 0.7, 2.1, 1.05, 0.95, 3.3} {
+		tr.CPI.Add(v)
+		tr.ServiceCycles.Add(v * 1e5)
+		tr.LatencyCycles.Add(v*1e5 + float64(i)*333)
+	}
+	ms := map[uint64]Measurement{
+		42: {Instrs: 123, Cycles: 456, MetaBytes: 7},
+		43: {Traffic: &tr},
+	}
+	for key, m := range ms {
+		c1.Put(key, m)
+	}
 
 	// A fresh cache over the same directory must hit from disk.
 	c2, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get(42)
-	if !ok || !reflect.DeepEqual(got, m) {
-		t.Fatalf("disk get = %+v, %v", got, ok)
+	for key, m := range ms {
+		got, ok := c2.Get(key)
+		if !ok || !reflect.DeepEqual(got, m) {
+			t.Fatalf("disk get %d = %+v, %v; want %+v", key, got, ok, m)
+		}
 	}
-	if c2.Len() != 1 {
-		t.Errorf("disk hit not promoted to memory: len = %d", c2.Len())
+	if c2.Len() != len(ms) {
+		t.Errorf("disk hits not promoted to memory: len = %d", c2.Len())
 	}
 
 	// Corrupt entries are misses and get removed.

@@ -345,7 +345,8 @@ func (s *Server) AdvanceIATOn(idx int, ms float64) {
 	}
 	c := s.Cores[idx]
 	// ms * 1e-3 s * freq GHz * 1e9 cycles/s = ms * freq * 1e6 cycles.
-	c.AdvanceCycles(mem.Cycle(ms * s.cfg.CPU.FreqGHz * 1e6))
+	// float64(...) rounds the product, so no architecture fuses it into the unsigned conversion (make fmagate).
+	c.AdvanceCycles(mem.Cycle(float64(ms * s.cfg.CPU.FreqGHz * 1e6)))
 
 	bytes := ms * float64(DefaultThrashBytesPerMs)
 	rng := s.thrashRNG.Uint64

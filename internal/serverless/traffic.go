@@ -212,7 +212,9 @@ func (f FuncTraffic) MeanAbsPredErrMs() float64 {
 	return f.PredAbsErrMsSum / float64(f.PredJudged)
 }
 
-// TrafficResult summarizes a traffic run.
+// TrafficResult summarizes a traffic run. Every field is an exported value
+// that round-trips through gob, so experiment runners cache the result
+// itself inside runner.Measurement.
 type TrafficResult struct {
 	// Offered counts every invocation that reached the dispatcher:
 	// Offered == Served + Shed + Failed (the conservation invariant
@@ -279,12 +281,8 @@ type TrafficResult struct {
 	BusyFraction float64
 	// SimulatedMs is the simulated wall-clock span.
 	SimulatedMs float64
-	latencies   []float64
-}
-
-// P99LatencyCycles reports the 99th-percentile latency.
-func (r *TrafficResult) P99LatencyCycles() float64 {
-	return stats.Percentile(r.latencies, 99)
+	// P99LatencyCycles is the 99th-percentile latency.
+	P99LatencyCycles float64
 }
 
 // ColdStartRate reports the fraction of served invocations that cold-started.
@@ -313,85 +311,13 @@ func (r *TrafficResult) JukeboxCoverage() float64 {
 	return 1 - float64(r.JukeboxRebinds)/float64(r.Served)
 }
 
-// TrafficSummary is the flat, gob-safe projection of a TrafficResult: every
-// field is a plain exported value, so it round-trips through the result
-// cache unchanged. Experiment runners store it inside runner.Measurement.
-type TrafficSummary struct {
-	Served, Shed, ColdStarts         int
-	Offered, Failed                  int
-	PrewarmHits, Migrations, Rebinds int
-	MeanCPI, MeanServiceCycles       float64
-	MeanLatencyCycles, P99LatencyCyc float64
-	BusyFraction, SimulatedMs        float64
-	ResidentMs                       float64
-	// Readiness-tier partition of idle time (see TrafficResult.IdleMs).
-	IdleMs, TierColdMs              float64
-	TierResidentMs, TierPrewarmedMs float64
-	// Predictive pre-warm ledger projection (see predict.Ledger).
-	Prewarm predict.Ledger
-	// Synchronous dispatch-time replay accounting (see
-	// TrafficResult.SyncReplays).
-	SyncReplays  int
-	SyncReplayMs float64
-	PerFunction  []FuncTraffic
-}
-
-// Summary projects the result into its cacheable form.
-func (r *TrafficResult) Summary() TrafficSummary {
-	return TrafficSummary{
-		Served: r.Served, Shed: r.Shed, ColdStarts: r.ColdStarts,
-		Offered: r.Offered, Failed: r.Failed,
-		PrewarmHits: r.PrewarmHits, Migrations: r.PlacementMigrations,
-		Rebinds:           r.JukeboxRebinds,
-		MeanCPI:           r.CPI.Mean(),
-		MeanServiceCycles: r.ServiceCycles.Mean(),
-		MeanLatencyCycles: r.LatencyCycles.Mean(),
-		P99LatencyCyc:     r.P99LatencyCycles(),
-		BusyFraction:      r.BusyFraction,
-		SimulatedMs:       r.SimulatedMs,
-		ResidentMs:        r.ResidentMs,
-		IdleMs:            r.IdleMs,
-		TierColdMs:        r.TierColdMs,
-		TierResidentMs:    r.TierResidentMs,
-		TierPrewarmedMs:   r.TierPrewarmedMs,
-		Prewarm:           r.Prewarm,
-		SyncReplays:       r.SyncReplays,
-		SyncReplayMs:      r.SyncReplayMs,
-		PerFunction:       r.PerFunction,
-	}
-}
-
-// ColdStartRate mirrors TrafficResult.ColdStartRate.
-func (s TrafficSummary) ColdStartRate() float64 {
-	if s.Served == 0 {
-		return 0
-	}
-	return float64(s.ColdStarts) / float64(s.Served)
-}
-
-// ShedRate mirrors TrafficResult.ShedRate.
-func (s TrafficSummary) ShedRate() float64 {
-	if offered := s.Served + s.Shed; offered > 0 {
-		return float64(s.Shed) / float64(offered)
-	}
-	return 0
-}
-
-// JukeboxCoverage mirrors TrafficResult.JukeboxCoverage.
-func (s TrafficSummary) JukeboxCoverage() float64 {
-	if s.Served == 0 || s.Rebinds == 0 {
-		return 0
-	}
-	return 1 - float64(s.Rebinds)/float64(s.Served)
-}
-
 // ResidentMsPerServed reports the mean instance-memory spend per served
 // invocation — the budget axis keep-alive policies are compared on.
-func (s TrafficSummary) ResidentMsPerServed() float64 {
-	if s.Served == 0 {
+func (r *TrafficResult) ResidentMsPerServed() float64 {
+	if r.Served == 0 {
 		return 0
 	}
-	return s.ResidentMs / float64(s.Served)
+	return r.ResidentMs / float64(r.Served)
 }
 
 // instSched is the per-instance bookkeeping the scheduling policies read.
@@ -483,6 +409,7 @@ type TrafficSim struct {
 	start      mem.Cycle
 	busy       mem.Cycle
 	prewarmer  *predict.Prewarmer
+	latencies  []float64 // served invocations' latencies, for the P99
 }
 
 // NewTrafficSim builds a dispatch engine for srv under cfg. The server's
@@ -680,8 +607,11 @@ func (ts *TrafficSim) Dispatch(inst *Instance, at mem.Cycle, doomed bool, due fu
 	prewarmRan := false
 	if pre.Verdict == predict.VerdictUsed {
 		// Fire the replay at its scheduled point in the gap, then let the
-		// rest of the gap act on the freshly installed state.
-		advance(st.lastDone + mem.Cycle(pre.FireMs*ts.cyclesPerMs))
+		// rest of the gap act on the freshly installed state. Here and at
+		// every ms-to-cycle conversion below, float64(...) rounds the
+		// product, so no architecture fuses it into the unsigned conversion
+		// (make fmagate).
+		advance(st.lastDone + mem.Cycle(float64(pre.FireMs*ts.cyclesPerMs)))
 		po := s.PrewarmOn(idx, inst, preMech)
 		ts.prewarmer.CommitUsed(po.Ran, po.Bytes, float64(po.BusyCycles)/ts.cyclesPerMs)
 		if po.Ran {
@@ -715,7 +645,7 @@ func (ts *TrafficSim) Dispatch(inst *Instance, at mem.Cycle, doomed bool, due fu
 		out.ColdStart = true
 		ts.res.ColdStarts++
 		st.fn.ColdStarts++
-		core.AdvanceCycles(mem.Cycle(cfg.ColdStartMs * ts.cyclesPerMs))
+		core.AdvanceCycles(mem.Cycle(float64(cfg.ColdStartMs * ts.cyclesPerMs)))
 	} else if st.hasDone {
 		idleMs := 0.0
 		if at > st.lastDone {
@@ -752,7 +682,7 @@ func (ts *TrafficSim) Dispatch(inst *Instance, at mem.Cycle, doomed bool, due fu
 			out.ColdStart = true
 			ts.res.ColdStarts++
 			st.fn.ColdStarts++
-			core.AdvanceCycles(mem.Cycle(cfg.ColdStartMs * ts.cyclesPerMs))
+			core.AdvanceCycles(mem.Cycle(float64(cfg.ColdStartMs * ts.cyclesPerMs)))
 		}
 	}
 	// Placement accounting: a core change is a migration, and (with
@@ -805,7 +735,7 @@ func (ts *TrafficSim) Dispatch(inst *Instance, at mem.Cycle, doomed bool, due fu
 	ts.res.CPI.Add(out.CPI)
 	ts.res.ServiceCycles.Add(out.ServiceCycles)
 	ts.res.LatencyCycles.Add(out.LatencyCycles)
-	ts.res.latencies = append(ts.res.latencies, out.LatencyCycles)
+	ts.latencies = append(ts.latencies, out.LatencyCycles)
 	st.lastDone = core.Now()
 	st.hasDone = true
 	st.lastCore = idx
@@ -846,6 +776,7 @@ func (ts *TrafficSim) Finish() TrafficResult {
 		ts.res.BusyFraction = float64(ts.busy) / (float64(span) * float64(len(ts.srv.Cores)))
 	}
 	ts.res.SimulatedMs = float64(span) / ts.cyclesPerMs
+	ts.res.P99LatencyCycles = stats.Percentile(ts.latencies, 99)
 	ts.res.PerFunction = make([]FuncTraffic, len(ts.perFn))
 	for i, fn := range ts.perFn {
 		ts.res.PerFunction[i] = *fn
@@ -875,8 +806,10 @@ func (s *Server) ServeTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	cyclesPerMs := sim.CyclesPerMs()
 	shape := cfg.shape()
 
+	// float64(...) rounds each product, so no architecture fuses it into the
+	// unsigned conversion (make fmagate).
 	nextGap := func(nowMs float64) mem.Cycle {
-		c := mem.Cycle(shape.GapMs(rng, nowMs) * cyclesPerMs)
+		c := mem.Cycle(float64(shape.GapMs(rng, nowMs) * cyclesPerMs))
 		if c == 0 {
 			c = 1
 		}
@@ -888,7 +821,7 @@ func (s *Server) ServeTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	for _, inst := range s.instances {
 		remaining[inst] = cfg.InvocationsPerInstance
 		// Phase-shift first arrivals across instances.
-		first := s.Core.Now() + mem.Cycle(rng.Float64()*cfg.MeanIATms*cyclesPerMs)
+		first := s.Core.Now() + mem.Cycle(float64(rng.Float64()*cfg.MeanIATms*cyclesPerMs))
 		q.Push(first, inst)
 	}
 
@@ -933,7 +866,7 @@ func (r *TrafficResult) String() string {
 			"mean CPI %.3f; service %.0f cycles mean; latency %.0f mean / %.0f p99 cycles; "+
 			"instances resident %.0f ms",
 		r.Served, r.Offered, r.SimulatedMs, r.BusyFraction*100, r.ColdStarts, shed, extra,
-		r.CPI.Mean(), r.ServiceCycles.Mean(), r.LatencyCycles.Mean(), r.P99LatencyCycles(),
+		r.CPI.Mean(), r.ServiceCycles.Mean(), r.LatencyCycles.Mean(), r.P99LatencyCycles,
 		r.ResidentMs)
 	if r.ColdStarts > 0 || r.Shed > 0 || r.Failed > 0 {
 		var parts []string

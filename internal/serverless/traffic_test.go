@@ -56,8 +56,8 @@ func TestServeTrafficBasics(t *testing.T) {
 	if res.SimulatedMs <= 0 {
 		t.Errorf("simulated span = %v", res.SimulatedMs)
 	}
-	if res.P99LatencyCycles() < res.LatencyCycles.Mean() {
-		t.Errorf("p99 %.0f below mean %.0f", res.P99LatencyCycles(), res.LatencyCycles.Mean())
+	if res.P99LatencyCycles < res.LatencyCycles.Mean() {
+		t.Errorf("p99 %.0f below mean %.0f", res.P99LatencyCycles, res.LatencyCycles.Mean())
 	}
 	if !strings.Contains(res.String(), "served 9 of 9 offered") {
 		t.Errorf("summary rendering: %s", res.String())

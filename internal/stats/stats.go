@@ -8,6 +8,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -32,8 +33,10 @@ func (s *Summary) Add(v float64) {
 		s.max = v
 	}
 	s.n++
-	s.sum += v
-	s.sumq += float64(v * v) // float64 rounds the product: no fused add on arm64 (make fmagate)
+	// float64(...) rounds v and its square, so a product a caller passes in
+	// (inlined) cannot fuse into either add (make fmagate).
+	s.sum += float64(v)
+	s.sumq += float64(v * v)
 }
 
 // N reports the number of observations recorded so far.
@@ -62,7 +65,8 @@ func (s *Summary) Variance() float64 {
 		return 0
 	}
 	m := s.Mean()
-	v := s.sumq/float64(s.n) - m*m
+	// float64(...) rounds the square, so it cannot fuse into the subtract (make fmagate).
+	v := s.sumq/float64(s.n) - float64(m*m)
 	if v < 0 { // numerical noise
 		return 0
 	}
@@ -75,6 +79,35 @@ func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 // String renders "mean [min, max] (n=N)".
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.4g [%.4g, %.4g] (n=%d)", s.Mean(), s.min, s.max, s.n)
+}
+
+// summaryGobLen is the size of a Summary's gob form: the count and four
+// float64s, eight bytes each.
+const summaryGobLen = 5 * 8
+
+// GobEncode writes the count, sum, sum of squares, min and max bit for bit,
+// so a Summary survives the result cache's disk tier unchanged.
+func (s Summary) GobEncode() ([]byte, error) {
+	b := make([]byte, 0, summaryGobLen)
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.n))
+	for _, f := range [...]float64{s.sum, s.sumq, s.min, s.max} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b, nil
+}
+
+// GobDecode restores a Summary written by GobEncode.
+func (s *Summary) GobDecode(b []byte) error {
+	if len(b) != summaryGobLen {
+		return fmt.Errorf("stats: Summary gob form is %d bytes, want %d", len(b), summaryGobLen)
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	s.n = int(word(0))
+	s.sum = math.Float64frombits(word(1))
+	s.sumq = math.Float64frombits(word(2))
+	s.min = math.Float64frombits(word(3))
+	s.max = math.Float64frombits(word(4))
+	return nil
 }
 
 // Mean reports the arithmetic mean of vs, or 0 for an empty slice.

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 	"testing/quick"
@@ -237,5 +239,54 @@ func TestSpeedupPct(t *testing.T) {
 	// Slowdown is negative.
 	if got := SpeedupPct(100, 200); !almostEqual(got, -50, 1e-12) {
 		t.Errorf("SpeedupPct slowdown = %v, want -50", got)
+	}
+}
+
+// TestSummaryGobRoundTrip checks that a Summary survives gob bit for bit:
+// the result cache's disk tier stores them inside traffic results.
+func TestSummaryGobRoundTrip(t *testing.T) {
+	var zero, neg, mixed Summary
+	for _, v := range []float64{-3.5, -0.125, -7e-300} {
+		neg.Add(v)
+	}
+	for _, v := range []float64{0.1, -2.75, 1e300, 3.3333333333333335} {
+		mixed.Add(v)
+	}
+	for _, s := range []Summary{zero, neg, mixed} {
+		b, err := s.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Summary
+		if err := got.GobDecode(b); err != nil {
+			t.Fatal(err)
+		}
+		if got != s {
+			t.Errorf("GobDecode(GobEncode(%+v)) = %+v", s, got)
+		}
+
+		// Through encoding/gob itself, as the cache's disk tier does.
+		type wrapped struct{ S Summary }
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wrapped{s}); err != nil {
+			t.Fatal(err)
+		}
+		var w wrapped
+		if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		if w.S != s {
+			t.Errorf("gob round trip of %+v = %+v", s, w.S)
+		}
+	}
+	if neg.Min() != -3.5 || neg.Max() != -7e-300 {
+		t.Errorf("negative summary min/max = %g/%g", neg.Min(), neg.Max())
+	}
+
+	for _, n := range []int{0, summaryGobLen - 1, summaryGobLen + 1} {
+		var s Summary
+		if err := s.GobDecode(make([]byte, n)); err == nil {
+			t.Errorf("GobDecode of %d bytes: no error", n)
+		}
 	}
 }

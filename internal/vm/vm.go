@@ -352,7 +352,8 @@ func (t *TLB) EvictFraction(frac float64, rng func() uint64) {
 	if frac <= 0 {
 		return
 	}
-	threshold := uint64(frac * float64(1<<32))
+	// float64(...) rounds the product, so no architecture fuses it into the unsigned conversion (make fmagate).
+	threshold := uint64(float64(frac * float64(1<<32)))
 	for i := range t.vpages {
 		if t.vpages[i] != invalidVPage && rng()&0xFFFFFFFF < threshold {
 			t.vpages[i] = invalidVPage

@@ -118,8 +118,6 @@ type (
 	Cycle = mem.Cycle
 	// TrafficResult aggregates one ServeTraffic run.
 	TrafficResult = serverless.TrafficResult
-	// TrafficSummary is TrafficResult's flat, cacheable projection.
-	TrafficSummary = serverless.TrafficSummary
 	// Placer decides which core serves an invocation (see TrafficConfig).
 	Placer = sched.Placer
 	// KeepAlive decides instance eviction between invocations (see TrafficConfig).
