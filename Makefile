@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmagate bench benchdiff profile
+.PHONY: all build test lint fmagate results bench benchdiff profile
 
 all: build test
 
@@ -49,6 +49,18 @@ fmagate:
 		elif [ -n "$$fused" ]; then echo "fmagate: $$arch: fused multiply-adds (count, function):"; echo "$$fused"; rc=1; \
 		else echo "fmagate: $$arch: no fused multiply-adds in lukewarm/ ($$ops elsewhere in the binary)"; fi; \
 	done; exit $$rc
+
+# results regenerates the paper-scale results ledger that EXPERIMENTS.md
+# cites: results_all.txt (the output of `lukewarm all` at default scale,
+# without its wall-clock "completed in" line, so it is deterministic) and
+# results_csv/ (one CSV per table). About 6.5 min on 2 vCPUs. CI reruns it
+# and fails when either artifact differs from the committed copy, so a change
+# that moves a paper-scale number must update the ledger in the same diff.
+results:
+	rm -rf results_csv
+	$(GO) run ./cmd/lukewarm -csv results_csv all > .results_all.raw
+	grep -v 'completed in' .results_all.raw > results_all.txt
+	rm -f .results_all.raw
 
 # bench captures the performance trajectory: the fleet-simulation benchmarks,
 # the raw simulator-throughput benchmark, the REAP restore path, the arrival

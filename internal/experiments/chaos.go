@@ -49,8 +49,9 @@ type ChaosResult struct {
 
 // Chaos sweeps every fault kind across the representative functions (or
 // opt.Functions when set), one deterministic plan per cell seeded from
-// opt.Seed. A cell that panics is caught and reported as FAIL — the sweep
-// itself always completes.
+// opt.Seed. Each (function, fault) pair is one cached cell whose Variant
+// names the fault and the seed. A cell that panics is caught and reported as
+// FAIL — the sweep itself always completes.
 func Chaos(opt Options) (ChaosResult, error) {
 	opt = opt.withDefaults()
 	out := ChaosResult{Seed: opt.Seed}
@@ -58,31 +59,25 @@ func Chaos(opt Options) (ChaosResult, error) {
 	if len(fns) == 0 {
 		fns = workload.Representatives()
 	}
-	// One engine job per function: each runs the full fault matrix against
-	// its own servers, so functions sweep concurrently while the cell order
-	// within a function stays fixed.
-	rows, err := runner.MapOn(opt.Engine, len(fns),
-		func(i int) string { return fns[i] + "/chaos" },
-		func(i int) ([]ChaosCell, error) {
-			w, err := workload.ByName(fns[i])
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %w", err)
-			}
-			// The acceptance bound for corrupted metadata: a Jukebox fed
-			// garbage must not run materially worse than no Jukebox at all.
-			base := serverless.New(serverless.Config{})
-			baseCPI := base.RunLukewarm(base.Deploy(w), 4).CPI()
-			var cells []ChaosCell
-			for _, k := range faults.Kinds() {
-				cells = append(cells, chaosCell(w, k, opt.Seed, baseCPI))
-			}
-			return cells, nil
-		})
+	ws, err := resolve(fns)
 	if err != nil {
 		return out, err
 	}
-	for _, cells := range rows {
-		out.Cells = append(out.Cells, cells...)
+	var cells []runner.Cell
+	for _, w := range ws {
+		for _, k := range faults.Kinds() {
+			cells = append(cells, runner.Cell{Workload: w.Name,
+				Variant: fmt.Sprintf("chaos-%s-seed%d", k, opt.Seed),
+				Exec:    func(runner.Cell) (measured, error) { return chaosCell(w, k, opt.Seed), nil }})
+			out.Cells = append(out.Cells, ChaosCell{Function: w.Name, Fault: k})
+		}
+	}
+	ms, err := opt.Engine.Measure(cells)
+	if err != nil {
+		return ChaosResult{Seed: opt.Seed}, err
+	}
+	for i, m := range ms {
+		out.Cells[i].Outcome, out.Cells[i].Detail = ChaosOutcome(m.Outcome), m.Detail
 	}
 	return out, nil
 }
@@ -122,25 +117,27 @@ func chaosJBServer(w workload.Workload) (*serverless.Server, *serverless.Instanc
 	return s, inst
 }
 
-// chaosCell runs one fault cell. Panics anywhere inside become FAIL cells,
-// so a chaos sweep can never take the process down.
-func chaosCell(w workload.Workload, k faults.Kind, seed uint64, baseCPI float64) (cell ChaosCell) {
-	cell = ChaosCell{Function: w.Name, Fault: k}
+// chaosCell runs one fault cell and returns its verdict in Outcome and
+// Detail. Panics anywhere inside become FAIL verdicts, so a chaos sweep can
+// never take the process down.
+func chaosCell(w workload.Workload, k faults.Kind, seed uint64) (m measured) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			cell.Outcome = ChaosFail
-			cell.Detail = fmt.Sprintf("panic: %v", rec)
+			m.Outcome, m.Detail = string(ChaosFail), fmt.Sprintf("panic: %v", rec)
 		}
 	}()
-	set := func(o ChaosOutcome, format string, args ...any) ChaosCell {
-		cell.Outcome = o
-		cell.Detail = fmt.Sprintf(format, args...)
-		return cell
+	set := func(o ChaosOutcome, format string, args ...any) measured {
+		m.Outcome, m.Detail = string(o), fmt.Sprintf(format, args...)
+		return m
 	}
 	plan := faults.NewPlan(program.Mix(seed, uint64(k)), k)
 
 	switch k {
 	case faults.MetadataCorrupt, faults.MetadataTruncate, faults.MetadataZero:
+		// The acceptance bound: a Jukebox fed garbage must not run
+		// materially worse than no Jukebox at all.
+		base := serverless.New(serverless.Config{})
+		baseCPI := base.RunLukewarm(base.Deploy(w), 4).CPI()
 		s, inst := chaosJBServer(w)
 		plan.CorruptMetadata(inst.Jukebox)
 		if plan.Injections[k] == 0 {

@@ -54,6 +54,14 @@ func renderTables(t *testing.T, eng *runner.Engine) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp, err := Footprints(opt, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := Chaos(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]string{
 		"fig2":  char.Fig2Table().String(),
 		"fig10": perf.Fig10Table().String(),
@@ -80,6 +88,12 @@ func renderTables(t *testing.T, eng *runner.Engine) map[string]string {
 		// cells as the scheduling sweep.
 		"server":  srv.Table().String(),
 		"scaling": scl.Table().String(),
+		// The footprint and chaos tables gate the two cell kinds that report
+		// summaries and verdicts rather than a measurement window: the
+		// footprint walks' Jaccard summaries and every fault cell's verdict.
+		"fig6a": fp.Fig6aTable().String(),
+		"fig6b": fp.Fig6bTable().String(),
+		"chaos": ch.Table().String(),
 		// The raw rows are stricter than the rendered tables (no rounding):
 		// every counter and float must match bit-for-bit.
 		"sched-rows":     fmt.Sprintf("%+v", sc),
@@ -87,6 +101,8 @@ func renderTables(t *testing.T, eng *runner.Engine) map[string]string {
 		"coldstart-rows": fmt.Sprintf("%+v", cs),
 		"server-rows":    fmt.Sprintf("%+v", srv),
 		"scaling-rows":   fmt.Sprintf("%+v", scl),
+		"fig6-rows":      fmt.Sprintf("%+v", fp),
+		"chaos-rows":     fmt.Sprintf("%+v", ch),
 	}
 }
 

@@ -26,7 +26,8 @@ type FootprintResult struct {
 
 // Footprints traces invocations invocations per function — the paper uses
 // 25, which invocations <= 0 selects — collecting per-invocation unique
-// instruction blocks and all pairwise Jaccard indices (Sec. 2.5).
+// instruction blocks and all pairwise Jaccard indices (Sec. 2.5). Each
+// function is one cached cell whose Measure is the traced invocation count.
 func Footprints(opt Options, invocations int) (FootprintResult, error) {
 	opt = opt.withDefaults()
 	n := invocations
@@ -38,27 +39,30 @@ func Footprints(opt Options, invocations int) (FootprintResult, error) {
 	if err != nil {
 		return out, err
 	}
-	rows, err := runner.MapOn(opt.Engine, len(suite),
-		func(i int) string { return suite[i].Name + "/footprint" },
-		func(i int) (FootprintRow, error) {
-			w := suite[i]
-			row := FootprintRow{Name: w.Name}
-			sets := make([]map[uint64]struct{}, n)
-			for i := 0; i < n; i++ {
-				sets[i] = w.Program.FootprintBlocks(uint64(i))
-				row.KB.Add(float64(len(sets[i])) * 64 / 1024)
-			}
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					row.Jaccard.Add(stats.Jaccard(sets[i], sets[j]))
+	cells := make([]runner.Cell, len(suite))
+	for i, w := range suite {
+		cells[i] = runner.Cell{Workload: w.Name, Measure: n, Variant: "footprint",
+			Exec: func(c runner.Cell) (m measured, _ error) {
+				sets := make([]map[uint64]struct{}, c.Measure)
+				for i := range sets {
+					sets[i] = w.Program.FootprintBlocks(uint64(i))
+					m.FootprintKB.Add(float64(len(sets[i])) * 64 / 1024)
 				}
-			}
-			return row, nil
-		})
+				for i := range sets {
+					for j := i + 1; j < len(sets); j++ {
+						m.Jaccard.Add(stats.Jaccard(sets[i], sets[j]))
+					}
+				}
+				return m, nil
+			}}
+	}
+	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
 		return out, err
 	}
-	out.Rows = rows
+	for i, w := range suite {
+		out.Rows = append(out.Rows, FootprintRow{Name: w.Name, KB: ms[i].FootprintKB, Jaccard: ms[i].Jaccard})
+	}
 	return out, nil
 }
 

@@ -1,6 +1,10 @@
 package predict
 
-import "lukewarm/internal/cfgerr"
+import (
+	"math"
+
+	"lukewarm/internal/cfgerr"
+)
 
 // Mech selects which warm-up mechanism a pre-warm runs for a function.
 type Mech uint8
@@ -61,8 +65,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Forecaster == nil:
 		return cfgerr.New("predict: Config.Forecaster is required")
-	case c.LeadMs < 0:
-		return cfgerr.New("predict: negative LeadMs %g", c.LeadMs)
+	case !(c.LeadMs >= 0) || math.IsInf(c.LeadMs, 1):
+		return cfgerr.New("predict: LeadMs must be finite and non-negative, got %g", c.LeadMs)
 	}
 	return nil
 }

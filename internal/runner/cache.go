@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -64,39 +65,33 @@ func (c *Cache) Get(key uint64) (Measurement, bool) {
 	return m, true
 }
 
-// Put stores key in memory and, when configured, on disk. Disk writes go
-// through a temp file and rename, so a crash can leave at worst a stray
-// .tmp, never a torn entry; write failures silently degrade to memory-only
-// caching (the result itself is already safe in the memory tier).
-func (c *Cache) Put(key uint64, m Measurement) {
+// encode serializes a Measurement for the disk tier; tests swap it to make
+// it fail, which no Measurement the simulator produces does today.
+var encode = func(w io.Writer, m Measurement) error { return gob.NewEncoder(w).Encode(m) }
+
+// Put stores key in memory and, when configured, on disk. With a disk tier,
+// a Measurement gob cannot encode is an error and is stored nowhere. Disk
+// writes go through a temp file and rename, so a crash can leave at worst a
+// stray .tmp, never a torn entry; I/O failures silently degrade to
+// memory-only caching (the result itself is already safe in the memory tier).
+func (c *Cache) Put(key uint64, m Measurement) error {
+	var buf bytes.Buffer
+	if c.dir != "" {
+		if err := encode(&buf, m); err != nil {
+			return fmt.Errorf("runner: cache encode: %w", err)
+		}
+	}
 	c.mu.Lock()
 	c.mem[key] = m
 	c.mu.Unlock()
 	if c.dir == "" {
-		return
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return
+	if tmp, err := os.CreateTemp(c.dir, "put-*.tmp"); err == nil {
+		_, werr := tmp.Write(buf.Bytes())
+		if cerr := tmp.Close(); werr != nil || cerr != nil || os.Rename(tmp.Name(), c.path(key)) != nil {
+			os.Remove(tmp.Name())
+		}
 	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(buf.Bytes())
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// Len reports the number of in-memory entries (for tests and telemetry).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mem)
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"lukewarm/internal/mem"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/serverless"
+	"lukewarm/internal/stats"
 	"lukewarm/internal/topdown"
 	"lukewarm/internal/workload"
 )
@@ -31,7 +32,9 @@ import (
 // v6: Traffic holds the serverless.TrafficResult itself, not a projection
 // of it. Gob matches fields by name, so a v5 entry would decode with CPI,
 // ServiceCycles and LatencyCycles silently zero.
-const SchemaVersion = 6
+// v7: Measurement gained FootprintKB/Jaccard (Fig. 6 footprint cells) and
+// Outcome/Detail (chaos cells), which used to bypass the cache.
+const SchemaVersion = 7
 
 // Mode selects the execution regime of a measurement cell.
 type Mode uint8
@@ -80,8 +83,9 @@ type Cell struct {
 	Audit bool
 	// Variant names the setup of a cell that carries its own executor
 	// (comparator prefetchers, compaction, snapshot adoption, traffic
-	// sweeps); standard cells leave it empty. It is a cache-key and
-	// progress label only: nothing parses it back.
+	// sweeps, footprint walks, fault injection); standard cells leave it
+	// empty. It is a cache-key and progress label only: nothing parses it
+	// back.
 	Variant string
 	// Exec, when non-nil, runs the cell on a cache miss in place of
 	// Execute. It is set exactly when Variant is non-empty (Engine.Measure
@@ -161,6 +165,11 @@ type Measurement struct {
 	// Cluster holds a fleet simulation's summary for cells whose custom
 	// executor runs cluster.Run (the cluster experiment); nil otherwise.
 	Cluster *cluster.Summary
+	// FootprintKB and Jaccard summarize a footprint cell's per-invocation
+	// instruction footprints and their pairwise commonality (Fig. 6).
+	FootprintKB, Jaccard stats.Summary
+	// Outcome and Detail are a chaos cell's verdict and its explanation.
+	Outcome, Detail string
 }
 
 // CPI reports the window's cycles per instruction.

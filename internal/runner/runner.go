@@ -9,11 +9,12 @@
 // telemetry: per-cell wall time, cache hit/miss counters, and optional live
 // progress lines. The experiment runners in internal/experiments submit all
 // their measurements through one Engine, which the lukewarm CLI configures
-// from its -jobs, -cache and -progress flags. A standard cell runs through
-// Execute; a cell whose setup goes further (a comparator prefetcher, a
-// traffic simulation, a fleet, an idle gap) carries its own executor in
-// Cell.Exec and a Variant label that keys it apart in the cache. Traffic
-// cells store the serverless.TrafficResult itself in Measurement.Traffic.
+// from its -jobs, -cache and -progress flags. Engine.Measure is the only way
+// a unit runs: a standard cell runs through Execute; a cell whose setup goes
+// further (a comparator prefetcher, a traffic simulation, a fleet, an idle
+// gap, a footprint walk, a fault injection) carries its own executor in
+// Cell.Exec and a Variant label that keys it apart in the cache, and reports
+// through Measurement's flat fields (Traffic, FootprintKB, Outcome, ...).
 //
 // Determinism contract: a cell's result depends only on the cell's content,
 // never on scheduling. Every cell builds its own simulated server from its
@@ -151,61 +152,41 @@ func (e *Engine) note(done, total int, label string, wall time.Duration, hit boo
 	e.mu.Unlock()
 }
 
-// MapOn runs fn(i) for every i in [0, n) on the engine's worker pool and
-// returns the results in index order — the deterministic-merge primitive the
-// cell API is built on. Use it directly for experiment units whose results
-// are not Measurements (footprint walks, chaos cells); they bypass the
-// result cache. label(i) names unit i in progress lines. All units run even if one
-// fails; the returned error is the failing unit with the lowest index, so
-// error reporting is as deterministic as the results.
-//
-// fn must not call MapOn or Measure on the same engine: workers would
-// deadlock waiting for themselves.
-func MapOn[T any](e *Engine, n int, label func(int) string, fn func(int) (T, error)) ([]T, error) {
-	return mapHit(e, n, label, func(i int) (T, bool, error) {
-		v, err := fn(i)
-		return v, false, err
-	})
-}
-
-// mapHit is MapOn with a per-unit cache-hit flag for telemetry.
-func mapHit[T any](e *Engine, n int, label func(int) string, fn func(int) (T, bool, error)) ([]T, error) {
-	if n <= 0 {
+// Measure executes a batch of cells on the worker pool and returns their
+// measurements in cell order. A cell is served from the cache when it can
+// be; a miss runs its Exec, or Execute when it has none. Every cell runs even
+// if one fails; the error returned is the lowest-index failure's, so errors
+// are as deterministic as results. An Exec must not call Measure on the same
+// engine: workers would deadlock waiting for themselves.
+func (e *Engine) Measure(cells []Cell) ([]Measurement, error) {
+	n := len(cells)
+	if n == 0 {
 		return nil, nil
 	}
-	results := make([]T, n)
+	results := make([]Measurement, n)
 	errs := make([]error, n)
 	var done atomic.Int64
 
 	run := func(i int) {
 		start := wallNow()
 		var hit bool
-		results[i], hit, errs[i] = fn(i)
-		e.note(int(done.Add(1)), n, label(i), wallNow().Sub(start), hit)
+		results[i], hit, errs[i] = e.measureCell(cells[i])
+		e.note(int(done.Add(1)), n, cells[i].Label(), wallNow().Sub(start), hit)
 	}
 
-	if workers := min(e.jobs, n); workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
+	// min(jobs, n) workers claim cells in index order from a shared counter.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(e.jobs, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				run(i)
+			}
+		}()
 	}
+	wg.Wait()
 
 	for _, err := range errs {
 		if err != nil {
@@ -215,31 +196,28 @@ func mapHit[T any](e *Engine, n int, label func(int) string, fn func(int) (T, bo
 	return results, nil
 }
 
-// Measure executes a batch of cells through the pool and the cache,
-// returning measurements in cell order. A cache miss runs the cell's Exec,
-// or Execute when it has none.
-func (e *Engine) Measure(cells []Cell) ([]Measurement, error) {
-	return mapHit(e, len(cells), func(i int) string { return cells[i].Label() },
-		func(i int) (Measurement, bool, error) {
-			c := cells[i]
-			// An Exec cell without a Variant would share a standard cell's
-			// key; a Variant cell without an Exec has nothing to run it.
-			if (c.Exec != nil) != (c.Variant != "") {
-				return Measurement{}, false, fmt.Errorf("runner: cell %s: Exec must be set exactly when Variant is", c.Label())
-			}
-			key := c.Key()
-			if m, ok := e.cache.Get(key); ok {
-				return m, true, nil
-			}
-			exec := c.Exec
-			if exec == nil {
-				exec = Execute
-			}
-			m, err := exec(c)
-			if err != nil {
-				return m, false, err
-			}
-			e.cache.Put(key, m)
-			return m, false, nil
-		})
+// measureCell serves one cell from the cache or runs it, reporting whether
+// it was a cache hit.
+func (e *Engine) measureCell(c Cell) (Measurement, bool, error) {
+	// An Exec cell without a Variant would share a standard cell's key; a
+	// Variant cell without an Exec has nothing to run it.
+	if (c.Exec != nil) != (c.Variant != "") {
+		return Measurement{}, false, fmt.Errorf("runner: cell %s: Exec must be set exactly when Variant is", c.Label())
+	}
+	key := c.Key()
+	if m, ok := e.cache.Get(key); ok {
+		return m, true, nil
+	}
+	exec := c.Exec
+	if exec == nil {
+		exec = Execute
+	}
+	m, err := exec(c)
+	if err != nil {
+		return m, false, err
+	}
+	if err := e.cache.Put(key, m); err != nil {
+		return m, false, fmt.Errorf("runner: cell %s: %w", c.Label(), err)
+	}
+	return m, false, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,8 +14,8 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
-	"lukewarm/internal/predict"
 	"lukewarm/internal/serverless"
+	"lukewarm/internal/stats"
 	"lukewarm/internal/workload"
 )
 
@@ -45,34 +46,47 @@ func quickCells() []Cell {
 	return cells
 }
 
-func TestMapOnOrderAndConcurrency(t *testing.T) {
+// unitCells builds n Exec cells, unit i labelled "u<i>" and run by exec.
+func unitCells(n int, exec func(i int) (Measurement, error)) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = Cell{Workload: "u", Variant: fmt.Sprint(i), Measure: 1,
+			Exec: func(Cell) (Measurement, error) { return exec(i) }}
+	}
+	return cells
+}
+
+func TestMeasureOrderAndConcurrency(t *testing.T) {
 	for _, jobs := range []int{1, 3, 8, 100} {
 		e := testEngine(t, jobs)
-		got, err := MapOn(e, 20, func(i int) string { return fmt.Sprint(i) },
-			func(i int) (int, error) { return i * i, nil })
+		got, err := e.Measure(unitCells(20, func(i int) (Measurement, error) {
+			return Measurement{Instrs: uint64(i * i)}, nil
+		}))
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("jobs=%d: result[%d] = %d, want %d", jobs, i, v, i*i)
+		if len(got) != 20 {
+			t.Fatalf("jobs=%d: %d results, want 20", jobs, len(got))
+		}
+		for i, m := range got {
+			if m.Instrs != uint64(i*i) {
+				t.Fatalf("jobs=%d: result[%d] = %d, want %d", jobs, i, m.Instrs, i*i)
 			}
 		}
 	}
 }
 
-func TestMapOnLowestIndexError(t *testing.T) {
+func TestMeasureLowestIndexError(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		e := testEngine(t, jobs)
 		var ran atomic.Int64
-		_, err := MapOn(e, 10, func(i int) string { return "u" },
-			func(i int) (int, error) {
-				ran.Add(1)
-				if i == 7 || i == 3 {
-					return 0, fmt.Errorf("unit %d failed", i)
-				}
-				return i, nil
-			})
+		_, err := e.Measure(unitCells(10, func(i int) (Measurement, error) {
+			ran.Add(1)
+			if i == 7 || i == 3 {
+				return Measurement{}, fmt.Errorf("unit %d failed", i)
+			}
+			return Measurement{Instrs: uint64(i)}, nil
+		}))
 		if err == nil || !strings.Contains(err.Error(), "unit 3") {
 			t.Errorf("jobs=%d: err = %v, want lowest-index unit 3", jobs, err)
 		}
@@ -82,11 +96,14 @@ func TestMapOnLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestMapOnEmpty(t *testing.T) {
+func TestMeasureEmpty(t *testing.T) {
 	e := testEngine(t, 4)
-	got, err := MapOn(e, 0, nil, func(i int) (int, error) { return 0, nil })
+	got, err := e.Measure(nil)
 	if err != nil || got != nil {
-		t.Errorf("MapOn(0) = %v, %v", got, err)
+		t.Errorf("Measure(nil) = %v, %v", got, err)
+	}
+	if st := e.Stats(); st.Cells != 0 {
+		t.Errorf("empty batch counted %d cells", st.Cells)
 	}
 }
 
@@ -238,19 +255,78 @@ func TestSharedProgramConcurrentWalks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := testEngine(t, 8)
-	cpis, err := MapOn(e, 8, func(i int) string { return fmt.Sprintf("walk%d", i) },
-		func(i int) (float64, error) {
-			srv := serverless.New(serverless.Config{CPU: cpu.SkylakeConfig()})
-			inst := srv.Deploy(w) // every unit shares w.Program
-			return srv.RunLukewarm(inst, 2).CPI(), nil
-		})
+	ms, err := e.Measure(unitCells(8, func(int) (Measurement, error) {
+		srv := serverless.New(serverless.Config{CPU: cpu.SkylakeConfig()})
+		inst := srv.Deploy(w) // every unit shares w.Program
+		r := srv.RunLukewarm(inst, 2)
+		return Measurement{Instrs: r.Instrs, Cycles: r.Cycles}, nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range cpis {
-		if c != cpis[0] {
-			t.Fatalf("walk %d CPI %v != walk 0 CPI %v: shared program walks are not deterministic", i, c, cpis[0])
+	if st := e.Stats(); st.CacheHits != 0 {
+		t.Fatalf("stats = %+v: every walk must run, none may hit", st)
+	}
+	for i, m := range ms {
+		if m.CPI() != ms[0].CPI() {
+			t.Fatalf("walk %d CPI %v != walk 0 CPI %v: shared program walks are not deterministic", i, m.CPI(), ms[0].CPI())
 		}
+	}
+}
+
+// fillAll sets every exported field reachable from v, which must be
+// settable, to a distinct nonzero value: n numbers the values. A
+// stats.Summary gets a few samples through Add. A kind it cannot fill
+// (an interface, a func) fails the test, so a new Measurement field that gob
+// might not carry cannot slip past TestCacheDiskTier.
+func fillAll(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillAll(t, v.Index(i), n)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillAll(t, v.Index(i), n)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fillAll(t, k, n)
+			fillAll(t, e, n)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillAll(t, v.Elem(), n)
+	case reflect.Struct:
+		if s, ok := v.Addr().Interface().(*stats.Summary); ok {
+			for _, x := range []float64{1.25, -0.5, float64(*n)} {
+				s.Add(x)
+			}
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillAll(t, v.Field(i), n)
+			}
+		}
+	default:
+		t.Fatalf("fillAll: cannot fill a %s", v.Type())
 	}
 }
 
@@ -260,33 +336,20 @@ func TestCacheDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A populated traffic result: every field set, so a field gob cannot
-	// carry (an unexported one, a Summary's internals) shows up below.
-	tr := serverless.TrafficResult{
-		Offered: 9, Served: 6, Shed: 2, Failed: 1, ColdStarts: 3, PrewarmHits: 1,
-		PlacementMigrations: 4, JukeboxRebinds: 5, ResidentMs: 812.5,
-		IdleMs: 900.25, TierColdMs: 60.5, TierResidentMs: 700.75, TierPrewarmedMs: 139,
-		Prewarm: predict.Ledger{Scheduled: 4, Used: 2, Partial: 1, Wasted: 1, Expired: 1,
-			ReplaySkips: 2, Judged: 5, AbsErrMsSum: 3.375, UsedReplayBytes: 8192,
-			PartialReplayBytes: 2048, WastedReplayBytes: 4096, PrewarmBusyMs: 0.125},
-		SyncReplays: 3, SyncReplayMs: 1.5,
-		PerFunction: []serverless.FuncTraffic{
-			{Name: "Auth-G", Served: 4, ColdStarts: 2, Shed: 1, CPISum: 5.75, PrewarmsUsed: 2, PredJudged: 3, PredAbsErrMsSum: 2.25},
-			{Name: "Email-P", Served: 2, ColdStarts: 1, Shed: 1, Failed: 1, CPISum: 3.1, PrewarmsWasted: 1},
-		},
-		BusyFraction: 0.4375, SimulatedMs: 1234.5, P99LatencyCycles: 98765.25,
-	}
-	for i, v := range []float64{1.25, 0.7, 2.1, 1.05, 0.95, 3.3} {
-		tr.CPI.Add(v)
-		tr.ServiceCycles.Add(v * 1e5)
-		tr.LatencyCycles.Add(v*1e5 + float64(i)*333)
-	}
+	// A fully populated Measurement: every field down to the traffic and
+	// fleet results is set, so a field gob cannot carry (an unexported one,
+	// a Summary's internals) shows up below.
+	var full Measurement
+	n := 0
+	fillAll(t, reflect.ValueOf(&full).Elem(), &n)
 	ms := map[uint64]Measurement{
 		42: {Instrs: 123, Cycles: 456, MetaBytes: 7},
-		43: {Traffic: &tr},
+		43: full,
 	}
 	for key, m := range ms {
-		c1.Put(key, m)
+		if err := c1.Put(key, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// A fresh cache over the same directory must hit from disk.
@@ -300,8 +363,14 @@ func TestCacheDiskTier(t *testing.T) {
 			t.Fatalf("disk get %d = %+v, %v; want %+v", key, got, ok, m)
 		}
 	}
-	if c2.Len() != len(ms) {
-		t.Errorf("disk hits not promoted to memory: len = %d", c2.Len())
+	// Disk hits are promoted to memory: they survive the disk tier's loss.
+	for key := range ms {
+		if err := os.Remove(c2.path(key)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c2.Get(key); !ok {
+			t.Errorf("disk hit %d not promoted to memory", key)
+		}
 	}
 
 	// Corrupt entries are misses and get removed.
@@ -320,6 +389,40 @@ func TestCacheDiskTier(t *testing.T) {
 	c3, _ := NewCache("")
 	if _, ok := c3.Get(42); ok {
 		t.Error("memory-only cache hit a disk entry")
+	}
+}
+
+// TestCacheEncodeFailureReachesCaller: a result the disk tier cannot encode
+// fails its cell with an error naming the cell, instead of silently
+// degrading the disk tier to memory-only. The failed result is cached
+// nowhere, so the next batch runs the cell again.
+func TestCacheEncodeFailureReachesCaller(t *testing.T) {
+	errEncode := errors.New("cannot encode")
+	saved := encode
+	encode = func(io.Writer, Measurement) error { return errEncode }
+	t.Cleanup(func() { encode = saved })
+
+	dir := t.TempDir()
+	e, err := New(Config{Jobs: 2, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execs atomic.Int64
+	cells := unitCells(3, func(i int) (Measurement, error) {
+		execs.Add(1)
+		return Measurement{Instrs: uint64(i)}, nil
+	})
+	for round := 1; round <= 2; round++ {
+		_, err := e.Measure(cells)
+		if !errors.Is(err, errEncode) || !strings.Contains(err.Error(), cells[0].Label()) {
+			t.Errorf("round %d: err = %v, want the encode error naming %s", round, err, cells[0].Label())
+		}
+	}
+	if n := execs.Load(); n != 6 {
+		t.Errorf("cells ran %d times over two batches, want 6: a failed result must not be cached", n)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("disk tier holds %d entries after encode failures, want 0", len(entries))
 	}
 }
 
@@ -358,14 +461,22 @@ func TestProgressLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetPhase("figX")
-	if _, err := MapOn(e, 2, func(i int) string { return fmt.Sprintf("unit%d", i) },
-		func(i int) (int, error) { return i, nil }); err != nil {
-		t.Fatal(err)
+	cells := unitCells(2, func(int) (Measurement, error) { return Measurement{}, nil })
+	for round := 0; round < 2; round++ {
+		if _, err := e.Measure(cells); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out := buf.String()
-	for _, want := range []string{"[1/2] figX unit0", "[2/2] figX unit1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("progress output %q missing %q", out, want)
+	// One line per cell and batch: "[done/total] phase label wall", with a
+	// " (cached)" suffix on hits (the second batch).
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	want := []string{"[1/2] figX u/0 ", "[2/2] figX u/1 ", "[1/2] figX u/0 ", "[2/2] figX u/1 "}
+	if len(lines) != len(want) {
+		t.Fatalf("progress output %q: %d lines, want %d", buf.String(), len(lines), len(want))
+	}
+	for i, line := range lines {
+		if !strings.HasPrefix(line, want[i]) || strings.HasSuffix(line, " (cached)") != (i >= 2) {
+			t.Errorf("progress line %d = %q, want prefix %q, cached=%t", i, line, want[i], i >= 2)
 		}
 	}
 }

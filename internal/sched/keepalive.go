@@ -44,10 +44,11 @@ func FixedTimeout(timeoutMs float64) KeepAlive { return fixedTimeout{timeoutMs: 
 func (fixedTimeout) Name() string { return "FixedTimeout" }
 
 // ValidateKeepAlive rejects a policy no run can honor: a FixedTimeout with a
-// negative timeout. Errors wrap cfgerr.ErrBadConfig.
+// negative or NaN timeout (NaN would silently never evict). Errors wrap
+// cfgerr.ErrBadConfig.
 func ValidateKeepAlive(ka KeepAlive) error {
-	if p, ok := ka.(fixedTimeout); ok && p.timeoutMs < 0 {
-		return cfgerr.New("keep-alive: negative FixedTimeout %g ms", p.timeoutMs)
+	if p, ok := ka.(fixedTimeout); ok && !(p.timeoutMs >= 0) {
+		return cfgerr.New("keep-alive: FixedTimeout must be non-negative, got %g ms", p.timeoutMs)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"lukewarm/internal/cfgerr"
@@ -101,20 +102,26 @@ type TrafficConfig struct {
 	Seed uint64
 }
 
+// maxTrafficMs caps MeanIATms and ColdStartMs, which the engine converts to
+// cycles: past it the uint64 cycle clock could overflow, and Go leaves an
+// overflowing float-to-integer conversion implementation-defined, so results
+// would differ by GOARCH. About 2.8 h, far above any modeled IAT.
+const maxTrafficMs = 1e7
+
 // Validate reports whether the traffic configuration is serveable. Errors
 // wrap cfgerr.ErrBadConfig.
 func (c TrafficConfig) Validate() error {
 	switch {
-	case c.MeanIATms <= 0:
-		return cfgerr.New("traffic: MeanIATms must be positive, got %g", c.MeanIATms)
+	case !(c.MeanIATms > 0 && c.MeanIATms <= maxTrafficMs):
+		return cfgerr.New("traffic: MeanIATms must be in (0, %g], got %g", float64(maxTrafficMs), c.MeanIATms)
 	case c.InvocationsPerInstance <= 0:
 		return cfgerr.New("traffic: InvocationsPerInstance must be positive, got %d", c.InvocationsPerInstance)
-	case c.ColdStartMs < 0:
-		return cfgerr.New("traffic: negative ColdStartMs %g", c.ColdStartMs)
+	case !(c.ColdStartMs >= 0 && c.ColdStartMs <= maxTrafficMs):
+		return cfgerr.New("traffic: ColdStartMs must be in [0, %g], got %g", float64(maxTrafficMs), c.ColdStartMs)
 	case c.MaxQueue < 0:
 		return cfgerr.New("traffic: negative MaxQueue %d", c.MaxQueue)
-	case c.ShedAfterMs < 0:
-		return cfgerr.New("traffic: negative ShedAfterMs %g", c.ShedAfterMs)
+	case !(c.ShedAfterMs >= 0) || math.IsInf(c.ShedAfterMs, 1):
+		return cfgerr.New("traffic: ShedAfterMs must be finite and non-negative, got %g", c.ShedAfterMs)
 	}
 	if err := sched.ValidateKeepAlive(c.KeepAlive); err != nil {
 		return err

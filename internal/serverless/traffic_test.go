@@ -2,11 +2,13 @@ package serverless
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/core"
+	"lukewarm/internal/predict"
 	"lukewarm/internal/sched"
 	"lukewarm/internal/workload"
 )
@@ -185,6 +187,27 @@ func TestServeTrafficRejectsBadConfig(t *testing.T) {
 		"no instances": func() (TrafficResult, error) { return New(Config{}).ServeTraffic(DefaultTrafficConfig()) },
 		"negative keep-alive": func() (TrafficResult, error) {
 			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, KeepAlive: sched.FixedTimeout(-1)})
+		},
+		"NaN keep-alive": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, KeepAlive: sched.FixedTimeout(math.NaN())})
+		},
+		// Non-finite or clock-overflowing durations: their cycle conversions
+		// are implementation-defined (FuzzTrafficConfig's corpus holds these).
+		"NaN IAT": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: math.NaN(), InvocationsPerInstance: 1})
+		},
+		"IAT over the cap": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: maxTrafficMs * 2, InvocationsPerInstance: 1})
+		},
+		"infinite cold start": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, ColdStartMs: math.Inf(1)})
+		},
+		"NaN shed deadline": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, ShedAfterMs: math.NaN()})
+		},
+		"NaN pre-warm lead": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
+				Predict: &predict.Config{Forecaster: predict.Oracle(), LeadMs: math.NaN()}})
 		},
 	} {
 		if _, err := run(); err == nil {
