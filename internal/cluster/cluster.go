@@ -132,34 +132,44 @@ func (c Config) Validate() error {
 	case c.Traffic.MaxQueue != 0 || c.Traffic.ShedAfterMs > 0:
 		return cfgerr.New("cluster: node-level valves (MaxQueue %d, ShedAfterMs %g) must be off; the fleet front end owns overload protection",
 			c.Traffic.MaxQueue, c.Traffic.ShedAfterMs)
-	case c.DeadlineMs < 0:
-		return cfgerr.New("cluster: negative DeadlineMs %g", c.DeadlineMs)
+	case !msInRange(c.DeadlineMs):
+		return cfgerr.New("cluster: DeadlineMs must be in [0, %g], got %g", float64(maxFleetMs), c.DeadlineMs)
 	case c.RetryMax < 0:
 		return cfgerr.New("cluster: negative RetryMax %d", c.RetryMax)
+	case !msInRange(c.RetryBackoffMs):
+		return cfgerr.New("cluster: RetryBackoffMs must be in [0, %g], got %g", float64(maxFleetMs), c.RetryBackoffMs)
 	case c.RetryMax > 0 && c.RetryBackoffMs <= 0:
-		return cfgerr.New("cluster: RetryMax %d needs a positive RetryBackoffMs, got %g", c.RetryMax, c.RetryBackoffMs)
-	case c.RetryBackoffMs < 0:
-		return cfgerr.New("cluster: negative RetryBackoffMs %g", c.RetryBackoffMs)
-	case c.HedgeDelayMinMs < 0:
-		return cfgerr.New("cluster: negative HedgeDelayMinMs %g", c.HedgeDelayMinMs)
+		return cfgerr.New("cluster: RetryMax %d needs a positive RetryBackoffMs", c.RetryMax)
+	case c.RetryMax > 0 && math.Ldexp(c.RetryBackoffMs, c.RetryMax-1) > maxFleetMs:
+		// The last retry waits RetryBackoffMs·2^(RetryMax-1): a longer wait
+		// overflows the clock, and a fleet with node crashes armed
+		// simulates every crash in it.
+		return cfgerr.New("cluster: RetryBackoffMs %g doubled over RetryMax %d retries exceeds %g ms",
+			c.RetryBackoffMs, c.RetryMax, float64(maxFleetMs))
+	case !msInRange(c.HedgeDelayMinMs):
+		return cfgerr.New("cluster: HedgeDelayMinMs must be in [0, %g], got %g", float64(maxFleetMs), c.HedgeDelayMinMs)
 	case c.EjectAfter < 0:
 		return cfgerr.New("cluster: negative EjectAfter %d", c.EjectAfter)
+	case !msInRange(c.EjectMs):
+		return cfgerr.New("cluster: EjectMs must be in [0, %g], got %g", float64(maxFleetMs), c.EjectMs)
 	case c.EjectAfter > 0 && c.EjectMs <= 0:
-		return cfgerr.New("cluster: EjectAfter %d needs a positive EjectMs, got %g", c.EjectAfter, c.EjectMs)
-	case c.ShedLowAtMs < 0 || c.RecordOnlyAtMs < 0 || c.RejectAtMs < 0:
-		return cfgerr.New("cluster: negative brownout threshold (%g/%g/%g)", c.ShedLowAtMs, c.RecordOnlyAtMs, c.RejectAtMs)
+		return cfgerr.New("cluster: EjectAfter %d needs a positive EjectMs", c.EjectAfter)
+	case !msInRange(c.ShedLowAtMs) || !msInRange(c.RecordOnlyAtMs) || !msInRange(c.RejectAtMs):
+		return cfgerr.New("cluster: brownout thresholds must be in [0, %g], got %g/%g/%g",
+			float64(maxFleetMs), c.ShedLowAtMs, c.RecordOnlyAtMs, c.RejectAtMs)
 	case c.RecordOnlyAtMs > 0 && c.ShedLowAtMs > c.RecordOnlyAtMs:
 		return cfgerr.New("cluster: ShedLowAtMs %g above RecordOnlyAtMs %g", c.ShedLowAtMs, c.RecordOnlyAtMs)
 	case c.RejectAtMs > 0 && (c.ShedLowAtMs > c.RejectAtMs || c.RecordOnlyAtMs > c.RejectAtMs):
 		return cfgerr.New("cluster: brownout ladder not monotone (%g/%g/%g)", c.ShedLowAtMs, c.RecordOnlyAtMs, c.RejectAtMs)
-	case c.InstanceCrashProb < 0 || c.InstanceCrashProb > 1:
+	case !(c.InstanceCrashProb >= 0 && c.InstanceCrashProb <= 1):
 		return cfgerr.New("cluster: InstanceCrashProb %g outside [0, 1]", c.InstanceCrashProb)
-	case c.DispatchFlakeProb < 0 || c.DispatchFlakeProb > 1:
+	case !(c.DispatchFlakeProb >= 0 && c.DispatchFlakeProb <= 1):
 		return cfgerr.New("cluster: DispatchFlakeProb %g outside [0, 1]", c.DispatchFlakeProb)
-	case c.NodeCrashMTBFms < 0:
-		return cfgerr.New("cluster: negative NodeCrashMTBFms %g", c.NodeCrashMTBFms)
+	case !msInRange(c.NodeCrashMTBFms) || !msInRange(c.NodeDownMs):
+		return cfgerr.New("cluster: NodeCrashMTBFms and NodeDownMs must be in [0, %g], got %g and %g",
+			float64(maxFleetMs), c.NodeCrashMTBFms, c.NodeDownMs)
 	case c.NodeCrashMTBFms > 0 && c.NodeDownMs <= 0:
-		return cfgerr.New("cluster: NodeCrashMTBFms %g needs a positive NodeDownMs, got %g", c.NodeCrashMTBFms, c.NodeDownMs)
+		return cfgerr.New("cluster: NodeCrashMTBFms %g needs a positive NodeDownMs", c.NodeCrashMTBFms)
 	case c.Faults == nil && (c.InstanceCrashProb > 0 || c.DispatchFlakeProb > 0 || c.NodeCrashMTBFms > 0):
 		return cfgerr.New("cluster: fault probabilities set but no fault plan armed")
 	}
@@ -168,6 +178,18 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxFleetMs caps the fleet's durations and thresholds, as
+// serverless.TrafficConfig caps its own: the front end converts them to
+// cycles, and past it the uint64 cycle clock could overflow, which Go leaves
+// implementation-defined, so results would differ by GOARCH. A NaN would
+// silently disable whatever it sets, or, as a fault probability, fire on
+// every dispatch.
+const maxFleetMs = 1e7
+
+// msInRange reports whether a duration or threshold lies in [0, maxFleetMs];
+// it is false for NaN and the infinities.
+func msInRange(ms float64) bool { return ms >= 0 && ms <= maxFleetMs }
 
 // fleetPlacer resolves the node-placement policy.
 func (c Config) fleetPlacer() sched.Placer {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -250,6 +251,28 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"prob out of range", func(c *Config) { c.InstanceCrashProb = 1.5 }},
 		{"probs without plan", func(c *Config) { c.DispatchFlakeProb = 0.1 }},
 		{"mtbf no down time", func(c *Config) { c.Faults = faults.NewPlan(1, faults.NodeCrash); c.NodeCrashMTBFms = 10 }},
+		// NaN passed every sign check and silently disabled the field (or,
+		// as a fault probability, fired on every dispatch); an infinite or
+		// huge duration overflows the cycle clock.
+		{"NaN deadline", func(c *Config) { c.DeadlineMs = math.NaN() }},
+		{"infinite hedge delay", func(c *Config) { c.HedgeDelayMinMs = math.Inf(1) }},
+		{"NaN eject window", func(c *Config) { c.EjectAfter = 2; c.EjectMs = math.NaN() }},
+		{"NaN brownout rung", func(c *Config) { c.ShedLowAtMs = math.NaN() }},
+		{"NaN crash prob", func(c *Config) {
+			c.Faults = faults.NewPlan(1, faults.InstanceCrash)
+			c.InstanceCrashProb = math.NaN()
+		}},
+		{"infinite mtbf", func(c *Config) {
+			c.Faults = faults.NewPlan(1, faults.NodeCrash)
+			c.NodeCrashMTBFms, c.NodeDownMs = math.Inf(1), 10
+		}},
+		{"huge down time", func(c *Config) {
+			c.Faults = faults.NewPlan(1, faults.NodeCrash)
+			c.NodeCrashMTBFms, c.NodeDownMs = 50, 1e300
+		}},
+		// 2^99 ms of backoff: with node crashes armed the fleet simulated
+		// every crash in it and never finished.
+		{"retry storm", func(c *Config) { c.RetryMax, c.RetryBackoffMs = 100, 1 }},
 		{"two node placers", func(c *Config) {
 			c.Traffic.Placer = sched.RoundRobin()
 			c.NodePlacer = sched.EarliestAvailable

@@ -15,13 +15,16 @@ type InstrSource interface {
 }
 
 // eventSource is the bulk-delivery fast path: sources that implement it
-// (program.Invocation) hand stage 1 whole buffers of instructions with the
-// indices of their events, so the walk pays no per-instruction interface
-// call and neither stage visits plain mid-line instructions. WalkBatch
-// must yield exactly the stream repeated Next calls would, fill buf unless
-// the stream ends, and list every line start, line end, load and store in
-// ev, strictly increasing — the differential tests in internal/check and
-// internal/cpu hold the two paths bit-identical.
+// (program.Invocation, program.Stream) hand stage 1 whole buffers of
+// instructions with the indices of their events, so the walk pays no
+// per-instruction interface call and neither stage visits plain mid-line
+// instructions. WalkBatch must count exactly the stream repeated Next calls
+// would, fill buf unless the stream ends, and list every line start, line
+// end, load and store in ev, strictly increasing, with each of those
+// instructions written at its index — the differential tests in
+// internal/check and internal/cpu hold the two paths bit-identical. Nothing
+// reads the other slots of buf, so a source may leave them as they were (a
+// walked-ahead record does).
 type eventSource interface {
 	WalkBatch(buf []program.Instr, ev []uint16) (n, ne int)
 }

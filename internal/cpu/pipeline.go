@@ -55,8 +55,10 @@ const pipeDepth = 4
 // inlineLen is the short-stream rule: the first inlineLen instructions of a
 // stream run on the caller's goroutine, and only a longer stream starts a
 // stage-1 goroutine for the rest, because starting one costs more than
-// overlapping a couple of batches saves. Every fleet-tiny invocation (~1150
-// instructions) stays inline.
+// overlapping a couple of batches saves. A short stream therefore overlaps
+// nothing here; its walk, the larger half of stage 1 for it, usually ran
+// ahead on an idle CPU before the dispatch (program.Stream), so stage 1
+// only reads its events back and translates.
 const inlineLen = 2 * batchLen
 
 // chunkLen is what the caller's goroutine walks and executes at a time

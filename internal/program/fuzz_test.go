@@ -1,6 +1,7 @@
 package program
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -55,7 +56,9 @@ func fuzzConfig(seed uint64, codeKB uint16, dyn uint32,
 // operands in the data regions. The batch walkers (WalkBatch and
 // NextBatch) yield exactly the Next stream, and WalkBatch's events
 // strictly increase and include every line start, line end, load and
-// store.
+// store. A walked-ahead record of a stream that fits one replays exactly
+// the WalkBatch stream, and a record is never replayed for another id or
+// program.
 func FuzzProgramWalk(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint32(50_000),
 		byte(128), byte(128), byte(64), byte(40), byte(30), byte(120), byte(100), byte(20))
@@ -65,6 +68,13 @@ func FuzzProgramWalk(f *testing.F) {
 		byte(0), byte(255), byte(255), byte(204), byte(255), byte(255), byte(255), byte(255)) // every knob maxed
 	f.Add(uint64(0xdeadbeef), uint16(32), uint32(10_000),
 		byte(64), byte(32), byte(16), byte(8), byte(4), byte(2), byte(1), byte(128))
+	// Short streams, which fit a record: 32 instructions a line (long gaps
+	// between events) and 3 a line (a stride that does not divide the
+	// line), both with kernel code.
+	f.Add(uint64(31<<8), uint16(4), uint32(1000),
+		byte(200), byte(128), byte(64), byte(0), byte(60), byte(200), byte(150), byte(255))
+	f.Add(uint64(2<<8|5), uint16(8), uint32(2000),
+		byte(128), byte(128), byte(128), byte(128), byte(128), byte(128), byte(128), byte(200))
 
 	f.Fuzz(func(t *testing.T, seed uint64, codeKB uint16, dyn uint32,
 		core, opt, rare, call, skip, load, cond, ind byte) {
@@ -127,7 +137,66 @@ func FuzzProgramWalk(f *testing.F) {
 		}
 
 		checkBatchWalk(t, p, seed, 1+int(seed%1031))
+		checkRecord(t, p, seed, 1+int(seed>>20%1031))
 	})
+}
+
+// checkRecord checks a record of invocation id of p against the walk:
+// replayed in size-instruction batches it yields the same n, the same
+// events and the same instruction at every event index as WalkBatch, and
+// its Next yields the Next stream. Only a stream longer than a record may
+// fail to fit one. A record is not replayed for the next id, nor for the
+// same id of another program.
+func checkRecord(t *testing.T, p *Program, id uint64, size int) {
+	t.Helper()
+	r := record{p: p, id: id}
+	if !r.fill(new(walkScratch)) {
+		if l := p.DynamicLength(id); l <= recordLen {
+			t.Fatalf("a %d-instruction stream did not fit a record", l)
+		}
+		return
+	}
+	w, rp := p.NewInvocation(id), replay{r: &r}
+	buf, ev := make([]Instr, size), make([]uint16, size)
+	rbuf, rev := make([]Instr, size), make([]uint16, size)
+	var at int
+	for n := size; n == size; at += n {
+		var ne int
+		n, ne = w.WalkBatch(buf, ev)
+		rn, rne := rp.WalkBatch(rbuf, rev)
+		if rn != n || rne != ne {
+			t.Fatalf("batch at instr %d: replay gave %d instructions and %d events, the walk %d and %d", at, rn, rne, n, ne)
+		}
+		for k, i := range ev[:ne] {
+			if rev[k] != i || rbuf[i] != buf[i] {
+				t.Fatalf("batch at instr %d, event %d: replay gave index %d %+v, the walk index %d %+v", at, k, rev[k], rbuf[rev[k]], i, buf[i])
+			}
+		}
+	}
+	ref, rp := p.NewInvocation(id), replay{r: &r}
+	for i := 0; ; i++ {
+		want, wok := ref.Next()
+		got, gok := rp.Next()
+		if got != want || gok != wok {
+			t.Fatalf("instr %d: replay Next gave %+v (ok %v), the walk %+v (ok %v)", i, got, gok, want, wok)
+		}
+		if !wok {
+			break
+		}
+	}
+
+	other := *p // the same program at another address
+	for _, c := range []struct {
+		p  *Program
+		id uint64
+	}{{p, id + 1}, {&other, id}} {
+		if startWithTicket(t, p, id, c.p, c.id) {
+			t.Fatalf("a record of (%p, %d) was replayed for (%p, %d)", p, id, c.p, c.id)
+		}
+	}
+	if p.short() && runtime.GOMAXPROCS(0) > 1 && !startWithTicket(t, p, id, p, id) {
+		t.Fatal("a ready record was not replayed for its own program and id")
+	}
 }
 
 // checkBatchWalk checks WalkBatch, in size-instruction batches, and

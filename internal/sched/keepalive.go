@@ -1,6 +1,10 @@
 package sched
 
-import "lukewarm/internal/cfgerr"
+import (
+	"math"
+
+	"lukewarm/internal/cfgerr"
+)
 
 // Decision is a KeepAlive policy's verdict on one idle gap, consulted when
 // the function's next invocation arrives. The gap runs from the previous
@@ -44,11 +48,17 @@ func FixedTimeout(timeoutMs float64) KeepAlive { return fixedTimeout{timeoutMs: 
 func (fixedTimeout) Name() string { return "FixedTimeout" }
 
 // ValidateKeepAlive rejects a policy no run can honor: a FixedTimeout with a
-// negative or NaN timeout (NaN would silently never evict). Errors wrap
+// negative or NaN timeout (NaN would silently never evict), or a
+// HybridHistogram whose config Validate rejects. Errors wrap
 // cfgerr.ErrBadConfig.
 func ValidateKeepAlive(ka KeepAlive) error {
-	if p, ok := ka.(fixedTimeout); ok && !(p.timeoutMs >= 0) {
-		return cfgerr.New("keep-alive: FixedTimeout must be non-negative, got %g ms", p.timeoutMs)
+	switch p := ka.(type) {
+	case fixedTimeout:
+		if !(p.timeoutMs >= 0) {
+			return cfgerr.New("keep-alive: FixedTimeout must be non-negative, got %g ms", p.timeoutMs)
+		}
+	case *hybridHistogram:
+		return p.cfg.Validate()
 	}
 	return nil
 }
@@ -85,18 +95,28 @@ const (
 
 // HybridConfig parameterizes the HybridHistogram policy. The zero value
 // selects the default documented on its field.
-//
-//lukewarm:novalidate the whole field domain is realizable: zero/negative fields select the documented defaults in withDefaults
 type HybridConfig struct {
 	// FallbackMs is the fixed timeout applied while a function has fewer
 	// than four observed gaps (and as the behaviour HybridHistogram degrades
 	// to when its histogram says the pattern is unpredictable and even the
-	// conservative window would be pointless). Zero selects 250 ms.
+	// conservative window would be pointless). Zero or a negative value
+	// selects 250 ms.
 	FallbackMs float64
 }
 
+// Validate rejects a non-finite FallbackMs: NaN and +Inf would silently
+// never evict. Errors wrap cfgerr.ErrBadConfig.
+func (c HybridConfig) Validate() error {
+	if math.IsNaN(c.FallbackMs) || math.IsInf(c.FallbackMs, 0) {
+		return cfgerr.New("keep-alive: HybridHistogram FallbackMs must be finite, got %g ms", c.FallbackMs)
+	}
+	return nil
+}
+
+// withDefaults fills a finite non-positive FallbackMs; it leaves a
+// non-finite one for Validate to reject.
 func (c HybridConfig) withDefaults() HybridConfig {
-	if c.FallbackMs <= 0 {
+	if c.FallbackMs <= 0 && !math.IsInf(c.FallbackMs, -1) {
 		c.FallbackMs = 250
 	}
 	return c

@@ -1,10 +1,36 @@
 package serverless
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"lukewarm/internal/mem"
+	"lukewarm/internal/program"
+	"lukewarm/internal/workload"
 )
+
+// TinyWorkloads builds n tiny functions: 4 KB of code and about 1100
+// instructions per invocation, so a whole traffic run takes milliseconds
+// and every stream is short enough to walk ahead.
+func TinyWorkloads(tb testing.TB, n int) []workload.Workload {
+	var ws []workload.Workload
+	for i := 0; i < n; i++ {
+		p, err := program.NewErr(program.Config{
+			Name: fmt.Sprintf("tiny-%d", i), Seed: program.Mix(0xF022, uint64(i)),
+			CodeKB: 4, DynamicInstrs: 600, InstrPerLine: 16,
+			CoreFrac: 0.8, OptionalProb: 0.7, RareFrac: 0.05, RareProb: 0.05,
+			LoadFrac: 0.25, StoreFrac: 0.1, CondFrac: 0.3, CondBias: 0.9, NoisyFrac: 0.02,
+			IndirectFrac: 0.1, CallFrac: 0.3, SkipFrac: 0.04,
+			DataKB: 16, HotDataKB: 4, HotDataFrac: 0.6, ColdDataFrac: 0.05, DepLoadFrac: 0.2, KernelFrac: 0.1,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ws = append(ws, workload.Workload{Name: p.Config().Name, App: "tiny", Lang: workload.Go, Program: p})
+	}
+	return ws
+}
 
 // TestInvokeWarmAllocs pins the server's warm invocation path at zero
 // steady-state allocations: the pooled per-instance walker, the per-core
@@ -20,6 +46,34 @@ func TestInvokeWarmAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(8, func() { s.Invoke(inst) })
 	if avg != 0 {
 		t.Fatalf("warm Invoke allocates %.2f objects/run, want 0", avg)
+	}
+}
+
+// TestInvokeWalkAheadAllocs pins the warm invocation path of a short
+// function with a spare P, where each dispatch replays a record walked
+// ahead and claims the next: nothing on it allocates. AllocsPerRun runs at
+// one P, where nothing walks ahead, so this counts the process's mallocs
+// itself; the helper's records may still grow to a longer stream than any
+// before, once in a while, hence the bound.
+func TestInvokeWalkAheadAllocs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	s := New(Config{})
+	inst := s.Deploy(TinyWorkloads(t, 1)[0])
+	for i := 0; i < 300; i++ {
+		s.Invoke(inst)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s.Invoke(inst)
+	}
+	runtime.ReadMemStats(&after)
+	if avg := float64(after.Mallocs-before.Mallocs) / runs; avg > 0.05 {
+		t.Fatalf("warm walked-ahead Invoke allocates %.2f objects/run, want 0", avg)
 	}
 }
 

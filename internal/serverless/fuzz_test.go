@@ -2,7 +2,6 @@ package serverless_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"lukewarm/internal/cfgerr"
@@ -10,33 +9,10 @@ import (
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/faults"
 	"lukewarm/internal/predict"
-	"lukewarm/internal/program"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/sched"
 	"lukewarm/internal/serverless"
-	"lukewarm/internal/workload"
 )
-
-// fuzzWorkloads builds two tiny functions: 4 KB of code and about 1100
-// instructions per invocation, so a whole traffic run takes milliseconds.
-func fuzzWorkloads(tb testing.TB) []workload.Workload {
-	var ws []workload.Workload
-	for i := 0; i < 2; i++ {
-		p, err := program.NewErr(program.Config{
-			Name: fmt.Sprintf("fuzz-%d", i), Seed: program.Mix(0xF022, uint64(i)),
-			CodeKB: 4, DynamicInstrs: 600, InstrPerLine: 16,
-			CoreFrac: 0.8, OptionalProb: 0.7, RareFrac: 0.05, RareProb: 0.05,
-			LoadFrac: 0.25, StoreFrac: 0.1, CondFrac: 0.3, CondBias: 0.9, NoisyFrac: 0.02,
-			IndirectFrac: 0.1, CallFrac: 0.3, SkipFrac: 0.04,
-			DataKB: 16, HotDataKB: 4, HotDataFrac: 0.6, ColdDataFrac: 0.05, DepLoadFrac: 0.2, KernelFrac: 0.1,
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		ws = append(ws, workload.Workload{Name: p.Config().Name, App: "fuzz", Lang: workload.Go, Program: p})
-	}
-	return ws
-}
 
 // FuzzTrafficConfig holds ServeTraffic to the configuration contract: a
 // TrafficConfig that Validate accepts runs to completion without a panic and
@@ -54,7 +30,7 @@ func fuzzWorkloads(tb testing.TB) []workload.Workload {
 // oracle; the upper bits are histpeak's parameters) that arms Predict with
 // lead leadMs.
 func FuzzTrafficConfig(f *testing.F) {
-	ws := fuzzWorkloads(f)
+	ws := serverless.TinyWorkloads(f, 2)
 	f.Add(uint8(0b0111), 4.0, uint8(0b0001), int8(6), 1.0, int8(0), 0.0, false, false,
 		uint8(2), 20.0, uint8(3), uint8(2), 0.0, uint64(1))
 	f.Add(uint8(0b1111), 0.5, uint8(0b1000), int8(12), 0.0, int8(2), 0.25, true, true,

@@ -74,9 +74,10 @@ type Instance struct {
 	// Invocations counts invocations served.
 	Invocations uint64
 	srv         *Server
-	// inv is the instance's pooled walker, reset per dispatch so the steady
-	// state of a warm instance allocates nothing.
-	inv program.Invocation
+	// stream is the instance's pooled walker and its walked-ahead records,
+	// reused per dispatch so the steady state of a warm instance allocates
+	// nothing.
+	stream program.Stream
 }
 
 // Server is one simulated host with its co-resident instances. Core points
@@ -94,6 +95,9 @@ type Server struct {
 	// list a dispatch installs; per-core because each core retains its
 	// current composition in Core.Prefetcher between dispatches.
 	pfScratch []cpu.MultiPrefetcher
+	// ahead is the budget of records the instances' short streams are
+	// walked ahead into.
+	ahead program.WalkAhead
 }
 
 // AttachCorePrefetcher installs a core-level instruction prefetcher (e.g.
@@ -262,9 +266,11 @@ func (s *Server) InvokeOn(idx int, inst *Instance) cpu.RunResult {
 		// allocate on every composed dispatch.
 		c.Prefetcher = &s.pfScratch[idx]
 	}
-	inst.Workload.Program.ResetInvocation(&inst.inv, inst.Invocations)
+	inst.stream.Start(&s.ahead, inst.Workload.Program, inst.Invocations)
 	inst.Invocations++
-	return c.RunInvocation(&inst.inv)
+	r := c.RunInvocation(&inst.stream)
+	inst.stream.Finish()
+	return r
 }
 
 // PrewarmOutcome reports what a predictive pre-warm pass installed.

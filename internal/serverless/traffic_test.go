@@ -191,6 +191,14 @@ func TestServeTrafficRejectsBadConfig(t *testing.T) {
 		"NaN keep-alive": func() (TrafficResult, error) {
 			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1, KeepAlive: sched.FixedTimeout(math.NaN())})
 		},
+		"NaN hybrid fallback": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
+				KeepAlive: sched.HybridHistogram(sched.HybridConfig{FallbackMs: math.NaN()})})
+		},
+		"infinite hybrid fallback": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
+				KeepAlive: sched.HybridHistogram(sched.HybridConfig{FallbackMs: math.Inf(1)})})
+		},
 		// Non-finite or clock-overflowing durations: their cycle conversions
 		// are implementation-defined (FuzzTrafficConfig's corpus holds these).
 		"NaN IAT": func() (TrafficResult, error) {
