@@ -105,6 +105,29 @@ func checkCacheOracle(cfg mem.Config, stream []access) error {
 	return nil
 }
 
+// checkRecycledCacheOracle runs checkCacheOracle on a cache built on
+// recycled arrays: a cache of cfg first serves dirty (its writes leave dirty
+// lines, its wide sets LRU stamps) and is released, and the oracle's cache
+// must reuse its arrays and still match the reference access by access.
+func checkRecycledCacheOracle(cfg mem.Config, dirty, stream []access) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	old := mem.NewCache(cfg)
+	for i, a := range dirty {
+		old.DemandAccess(mem.Cycle(i), a.addr, mem.Data, a.write)
+	}
+	old.Release()
+	n, _ := mem.Retained()
+	if err := checkCacheOracle(cfg, stream); err != nil {
+		return err
+	}
+	if m, _ := mem.Retained(); m != n-1 {
+		return fmt.Errorf("cache %s: the oracle's cache did not reuse the released arrays", cfg.Name)
+	}
+	return nil
+}
+
 // refBTB is a reference direct-mapped branch target buffer: a map from slot
 // index to the (pc, target) pair last installed there.
 type refBTB struct {
@@ -320,6 +343,9 @@ func oracleChecks() []namedCheck {
 		}},
 		{"oracle/cache/fully-associative", func() error {
 			return checkCacheOracle(faCache, randomAccesses(3, 60000, 16, 0, 0.5))
+		}},
+		{"oracle/cache/fully-associative-recycled", func() error {
+			return checkRecycledCacheOracle(faCache, randomAccesses(5, 20000, 16, 0, 0.5), randomAccesses(3, 60000, 16, 0, 0.5))
 		}},
 		{"oracle/cache/trace", func() error {
 			stream, err := traceAccesses("Auth-G", 0, 120000)

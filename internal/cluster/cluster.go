@@ -287,12 +287,14 @@ type run struct {
 // Run executes the fleet simulation to completion: every flow's requests
 // are injected, routed, retried and resolved, and the aggregate result
 // returned. It returns an error (wrapping cfgerr.ErrBadConfig) for an
-// unrunnable configuration.
+// unrunnable configuration. The nodes' servers are released when it
+// returns; the Result holds no reference to them.
 func Run(cfg Config) (Result, error) {
 	r, err := newRun(cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.release()
 	for r.live > 0 {
 		if err := r.stepOne(); err != nil {
 			return Result{}, err
@@ -324,9 +326,11 @@ func newRun(cfg Config) (*run, error) {
 	for n := 0; n < cfg.Nodes; n++ {
 		srv, err := serverless.NewErr(cfg.Node)
 		if err != nil {
+			r.release()
 			return nil, err
 		}
 		nd := &node{srv: srv}
+		r.nodes = append(r.nodes, nd)
 		for _, w := range cfg.Workloads {
 			nd.insts = append(nd.insts, srv.Deploy(w))
 		}
@@ -335,9 +339,9 @@ func newRun(cfg Config) (*run, error) {
 			tcfg.Placer = cfg.NodePlacer()
 		}
 		if nd.sim, err = srv.NewTrafficSim(tcfg); err != nil {
+			r.release()
 			return nil, err
 		}
-		r.nodes = append(r.nodes, nd)
 	}
 	r.cyclesPerMs = r.nodes[0].sim.CyclesPerMs()
 	r.aff = make([]affinity, len(cfg.Workloads))
@@ -369,6 +373,14 @@ func newRun(cfg Config) (*run, error) {
 	}
 
 	return r, nil
+}
+
+// release hands every node's server storage back for reuse (see
+// serverless.Server.Release); the run must not step again.
+func (r *run) release() {
+	for _, nd := range r.nodes {
+		nd.srv.Release()
+	}
 }
 
 // stepOne pops and serves one fleet event — the per-dispatch front-end step

@@ -1,6 +1,9 @@
 package cpu
 
-import "lukewarm/internal/cfgerr"
+import (
+	"lukewarm/internal/cfgerr"
+	"lukewarm/internal/mem"
+)
 
 // BPConfig sizes the branch prediction structures (Table 1: "LTAGE (16K
 // gShare 4K bimodal) + BTB 8K entries"). We implement the classic tournament
@@ -88,14 +91,37 @@ func NewBranchPredictor(cfg BPConfig) *BranchPredictor {
 	if err := cfg.Validate(); err != nil {
 		panic("cpu: " + err.Error())
 	}
-	bp := &BranchPredictor{
-		cfg:     cfg,
-		gshare:  make([]uint8, cfg.GshareEntries),
-		bimodal: make([]uint8, cfg.BimodalEntries),
-		chooser: make([]uint8, cfg.ChooserEntries),
+	bp := &BranchPredictor{cfg: cfg}
+	t, ok := freeBPTables.Take(bpShape{cfg.GshareEntries, cfg.BimodalEntries, cfg.ChooserEntries})
+	if !ok {
+		t = bpTables{make([]uint8, cfg.GshareEntries), make([]uint8, cfg.BimodalEntries), make([]uint8, cfg.ChooserEntries)}
 	}
-	bp.Flush()
+	bp.gshare, bp.bimodal, bp.chooser = t.gshare, t.bimodal, t.chooser
+	bp.Flush() // a recycled table's counters are stale
 	return bp
+}
+
+// bpShape keys released predictor tables by their sizes; bpTables are one
+// predictor's tables.
+type (
+	bpShape  struct{ gshare, bimodal, chooser int }
+	bpTables struct{ gshare, bimodal, chooser []uint8 }
+)
+
+// freeBPTables holds released predictor tables (24 KB per default core)
+// for the next predictor of the same sizes; see mem.FreeList.
+var freeBPTables = mem.NewFreeList[bpShape, bpTables](1 << 20)
+
+// Release hands the predictor's tables to the next NewBranchPredictor of
+// the same sizes and poisons bp: a later prediction panics. Stats stay
+// readable; a second Release does nothing.
+func (bp *BranchPredictor) Release() {
+	if bp.gshare == nil {
+		return
+	}
+	freeBPTables.Give(bpShape{len(bp.gshare), len(bp.bimodal), len(bp.chooser)},
+		bpTables{bp.gshare, bp.bimodal, bp.chooser}, len(bp.gshare)+len(bp.bimodal)+len(bp.chooser))
+	bp.gshare, bp.bimodal, bp.chooser = nil, nil, nil
 }
 
 func (bp *BranchPredictor) gshareIdx(pc uint64) int {
@@ -241,12 +267,36 @@ func NewBTB(n int) *BTB {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("cpu: BTB size must be a power of two")
 	}
-	return &BTB{
-		entries: n,
-		tags:    make([]uint64, n),
-		targets: make([]uint64, n),
-		valid:   make([]bool, n),
+	b := &BTB{entries: n}
+	if t, ok := freeBTBs.Take(n); ok {
+		b.tags, b.targets, b.valid = t.tags, t.targets, t.valid
+		b.Flush() // tags and targets are read only behind valid
+		return b
 	}
+	b.tags, b.targets, b.valid = make([]uint64, n), make([]uint64, n), make([]bool, n)
+	return b
+}
+
+// btbArrays are one BTB's arrays.
+type btbArrays struct {
+	tags, targets []uint64
+	valid         []bool
+}
+
+// freeBTBs holds released BTB arrays (139 KB per default core) by entry
+// count for the next NewBTB of the same size; two 16-core servers' fit. See
+// mem.FreeList.
+var freeBTBs = mem.NewFreeList[int, btbArrays](5 << 20)
+
+// Release hands the BTB's arrays to the next NewBTB of the same size and
+// poisons b: a later lookup panics. Stats stay readable; a second Release
+// does nothing.
+func (b *BTB) Release() {
+	if b.valid == nil {
+		return
+	}
+	freeBTBs.Give(b.entries, btbArrays{b.tags, b.targets, b.valid}, 17*b.entries)
+	b.tags, b.targets, b.valid = nil, nil, nil
 }
 
 func (b *BTB) idx(pc uint64) int { return int(pc>>2) & (b.entries - 1) }

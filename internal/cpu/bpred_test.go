@@ -1,6 +1,9 @@
 package cpu
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestPredictorLearnsBias(t *testing.T) {
 	bp := NewBranchPredictor(BPConfig{})
@@ -150,5 +153,52 @@ func TestBumpCounterSaturation(t *testing.T) {
 	}
 	if bumpCounter(1, true) != 2 || bumpCounter(2, false) != 1 {
 		t.Error("counter step wrong")
+	}
+}
+
+// TestRecycledBranchTables checks that a predictor and a BTB built on the
+// tables of released, trained ones predict a branch stream exactly as new
+// ones do, and that the released ones panic on use.
+func TestRecycledBranchTables(t *testing.T) {
+	cfg := DefaultBPConfig()
+	stream := func(bp *BranchPredictor, btb *BTB) (out []bool) {
+		x := uint64(88172645463325252)
+		for i := 0; i < 20000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			pc := x % 4096 * 4
+			out = append(out, bp.Update(pc, x&3 != 0), btb.LookupAndUpdate(pc, x>>40))
+		}
+		return out
+	}
+	oldBP, oldBTB := NewBranchPredictor(cfg), NewBTB(cfg.BTBEntries)
+	stream(oldBP, oldBTB)
+	oldBP.Release()
+	oldBTB.Release()
+	oldBP.Release() // a second Release must not hand the tables out twice
+	oldBTB.Release()
+	recycled := stream(NewBranchPredictor(cfg), NewBTB(cfg.BTBEntries))
+	if n, _ := freeBPTables.Retained(); n != 0 {
+		t.Fatalf("%d predictor tables still retained after reuse", n)
+	}
+	if n, _ := freeBTBs.Retained(); n != 0 {
+		t.Fatalf("%d BTBs still retained after reuse", n)
+	}
+	if fresh := stream(NewBranchPredictor(cfg), NewBTB(cfg.BTBEntries)); !reflect.DeepEqual(recycled, fresh) {
+		t.Fatal("recycled branch tables predict differently from new ones")
+	}
+	for name, use := range map[string]func(){
+		"predictor": func() { oldBP.Predict(0x40) },
+		"BTB":       func() { oldBTB.LookupAndUpdate(0x40, 0x80) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a released %s did not panic on use", name)
+				}
+			}()
+			use()
+		}()
 	}
 }

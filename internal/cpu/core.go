@@ -108,6 +108,8 @@ type Core struct {
 	lastDMissInstr uint64
 	dBurstCount    int
 	instrCount     uint64
+	// ownHier is set when NewCore built Hier, so Release releases it too.
+	ownHier bool
 }
 
 // NewCore builds a core from cfg with its own full memory hierarchy. The
@@ -115,7 +117,9 @@ type Core struct {
 // running.
 func NewCore(cfg Config) *Core {
 	cfg.validate()
-	return NewCoreWithHierarchy(cfg, mem.NewHierarchy(cfg.Hier))
+	c := NewCoreWithHierarchy(cfg, mem.NewHierarchy(cfg.Hier))
+	c.ownHier = true
+	return c
 }
 
 // NewCoreWithHierarchy builds a core around an externally constructed
@@ -129,6 +133,18 @@ func NewCoreWithHierarchy(cfg Config, hier *mem.Hierarchy) *Core {
 		MMU:  vm.NewMMU(cfg.MMU, hier.DRAM),
 		BP:   NewBranchPredictor(cfg.BP),
 		BTB:  NewBTB(cfg.BP.BTBEntries),
+	}
+}
+
+// Release hands the core's branch tables, and its hierarchy if NewCore built
+// it, to the next core built (mem.FreeList), poisoning them: the core must
+// not run again. A hierarchy handed to NewCoreWithHierarchy goes back with
+// whoever built it. Counters stay readable; a second Release does nothing.
+func (c *Core) Release() {
+	c.BP.Release()
+	c.BTB.Release()
+	if c.ownHier {
+		c.Hier.Release()
 	}
 }
 

@@ -85,6 +85,7 @@ func execCompaction(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := newServer(c.CPU, c.Jukebox, false)
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, c.Warmup) // record metadata
 	inst.AS.Compact()               // the OS migrates every page
@@ -157,6 +158,7 @@ func execSnapshotCold(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := newServer(c.CPU, nil, false)
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.FlushMicroarch()
 	res := srv.Invoke(inst)
@@ -172,6 +174,7 @@ func execSnapshotReplay(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
+	defer srv.Release()
 	donor := srv.Deploy(w)
 	srv.RunLukewarm(donor, c.Warmup)
 	restored := srv.Deploy(w)

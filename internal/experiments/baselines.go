@@ -44,6 +44,7 @@ func execNextLine(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU})
+	defer srv.Release()
 	srv.AttachCorePrefetcher(baselines.NewNextLineI(srv.Core.Hier, 1))
 	inst := srv.Deploy(w)
 	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
@@ -56,6 +57,7 @@ func execRecap(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU})
+	defer srv.Release()
 	rc := baselines.NewRecap(srv.Core.Hier)
 	srv.AttachCorePrefetcher(rc)
 	inst := srv.Deploy(w)
@@ -72,6 +74,7 @@ func execJukeboxMeta(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := newServer(c.CPU, c.Jukebox, false)
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
 	m.MetaBytes = inst.Jukebox.MetadataFootprintBytes()

@@ -137,8 +137,10 @@ func chaosCell(w workload.Workload, k faults.Kind, seed uint64) (m measured) {
 		// The acceptance bound: a Jukebox fed garbage must not run
 		// materially worse than no Jukebox at all.
 		base := serverless.New(serverless.Config{})
+		defer base.Release()
 		baseCPI := base.RunLukewarm(base.Deploy(w), 4).CPI()
 		s, inst := chaosJBServer(w)
+		defer s.Release()
 		plan.CorruptMetadata(inst.Jukebox)
 		if plan.Injections[k] == 0 {
 			return set(ChaosPass, "replay metadata empty; nothing to corrupt")
@@ -160,6 +162,7 @@ func chaosCell(w workload.Workload, k faults.Kind, seed uint64) (m measured) {
 
 	case faults.ReplayCompaction:
 		s, inst := chaosJBServer(w)
+		defer s.Release()
 		plan.ArmReplayCompaction(inst.Jukebox, inst.AS)
 		s.FlushMicroarch()
 		r := s.Invoke(inst)
@@ -178,6 +181,7 @@ func chaosCell(w workload.Workload, k faults.Kind, seed uint64) (m measured) {
 
 	case faults.RecordEviction:
 		s, inst := chaosJBServer(w)
+		defer s.Release()
 		plan.ArmMidRecordEviction(inst)
 		s.FlushMicroarch()
 		r := s.Invoke(inst)
@@ -200,6 +204,7 @@ func chaosCell(w workload.Workload, k faults.Kind, seed uint64) (m measured) {
 
 	case faults.DRAMSpike:
 		s := serverless.New(serverless.Config{})
+		defer s.Release()
 		inst := s.Deploy(w)
 		clean := s.RunLukewarm(inst, 2)
 		plan.DisturbDRAM(s.Core.Hier.DRAM)
@@ -230,6 +235,7 @@ func chaosCell(w workload.Workload, k faults.Kind, seed uint64) (m measured) {
 
 	case faults.TrafficBurst:
 		s := serverless.New(serverless.Config{})
+		defer s.Release()
 		s.Deploy(w)
 		cfg := serverless.DefaultTrafficConfig()
 		cfg.MeanIATms = 30

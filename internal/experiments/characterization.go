@@ -73,6 +73,7 @@ func Fig1(opt Options) (Fig1Result, error) {
 // measured invocation follows an idle gap of iatMs.
 func execFig1(c runner.Cell, w workload.Workload, iatMs float64) (measured, error) {
 	srv := serverless.New(serverless.Config{CPU: c.CPU})
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.RunReference(inst, c.Warmup+1)
 	var m measured

@@ -131,6 +131,7 @@ func execColdstart(c runner.Cell, mech ColdstartMech, band coldstartBand) (runne
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
+	defer srv.Release()
 	if mech == MechPIF {
 		srv.AttachCorePrefetcher(pif.New(pif.DefaultConfig(), srv.Core.Hier))
 	}
@@ -174,6 +175,7 @@ func execColdstartStale(c runner.Cell, age int) (runner.Measurement, error) {
 	}
 	w = workload.WithChurnSlide(w, coldstartStaleSlideKB)
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Reap: c.Reap})
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, 1) // record invocation 0, then freeze
 	inst.Reap.SetRecordEnabled(false)

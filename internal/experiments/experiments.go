@@ -86,6 +86,7 @@ func (o Options) variantCell(variant, w string, cfg cpu.Config, jb *core.Config,
 func (o Options) trafficCell(variant string, suite []workload.Workload, cores int, jb *core.Config, md mode, traffic func() serverless.TrafficConfig) runner.Cell {
 	return o.variantCell(variant, suiteTag(suite), cpu.SkylakeConfig(), jb, md, func(c runner.Cell) (measured, error) {
 		srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: cores, Jukebox: c.Jukebox, Reap: c.Reap})
+		defer srv.Release()
 		for _, w := range suite {
 			srv.Deploy(w)
 		}

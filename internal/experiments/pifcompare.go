@@ -63,6 +63,7 @@ func execPIF(c runner.Cell, pc pif.Config) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
+	defer srv.Release()
 	srv.AttachCorePrefetcher(pif.New(pc, srv.Core.Hier))
 	inst := srv.Deploy(w)
 	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)

@@ -138,6 +138,7 @@ func (sp prewarmSpec) traffic(suite []workload.Workload) serverless.TrafficConfi
 // the readiness ceiling every pre-warm chases.
 func execPrewarmWarm(c runner.Cell, w workload.Workload) (runner.Measurement, error) {
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: 1})
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, c.Warmup)
 	var out runner.Measurement

@@ -33,6 +33,7 @@ func execRecordOnly(c runner.Cell) (runner.Measurement, error) {
 		return runner.Measurement{}, err
 	}
 	srv := newServer(c.CPU, c.Jukebox, false)
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, 1)
 	return runner.Measurement{

@@ -205,9 +205,10 @@ type Cache struct {
 	Stats          CacheStats
 }
 
-// NewCache builds a cache from cfg. It panics if the geometry is invalid —
-// callers that take cache geometry from user input should call
-// Config.Validate first (the serverless facade does).
+// NewCache builds a cache from cfg, on arrays a released cache of the same
+// geometry left behind when there are any (pool.go). It panics if the
+// geometry is invalid — callers that take cache geometry from user input
+// should call Config.Validate first (the serverless facade does).
 func NewCache(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("mem: %v", err))
@@ -217,20 +218,28 @@ func NewCache(cfg Config) *Cache {
 		cfg:     cfg,
 		ways:    cfg.Ways,
 		setMask: uint64(sets - 1),
-		lines:   make([]uint64, sets*cfg.Ways),
-		ready:   make([]Cycle, sets*cfg.Ways),
-		meta:    make([]setMeta, sets),
+		packed:  cfg.Ways <= maxPackedWays,
 	}
-	for i := range c.lines {
-		c.lines[i] = invalidTag
-	}
-	if cfg.Ways <= maxPackedWays {
+	if c.packed {
 		c.tailShift = uint(4 * (cfg.Ways - 1))
 		c.empty = emptyRecency(cfg.Ways)
-		c.packed = true
 		for w := 0; w < cfg.Ways; w++ {
 			c.sigMask[w/8] |= 0x80 << (8 * (w % 8))
 		}
+	}
+	if st, ok := freeCaches.Take(geometry{sets, cfg.Ways}); ok {
+		// Every set recorded an epoch at most st.epoch, so all read as
+		// flushed.
+		c.lines, c.ready, c.meta, c.lru, c.epoch = st.lines, st.ready, st.meta, st.lru, st.epoch+1
+		return c
+	}
+	c.lines = make([]uint64, sets*cfg.Ways)
+	c.ready = make([]Cycle, sets*cfg.Ways)
+	c.meta = make([]setMeta, sets)
+	for i := range c.lines {
+		c.lines[i] = invalidTag
+	}
+	if c.packed {
 		for i := range c.meta {
 			c.meta[i].recency = c.empty
 		}

@@ -90,11 +90,16 @@ type Hierarchy struct {
 	pfBuf    []pfBufEntry
 	pfBufPos int
 	PFBuf    PFBufStats
+	// ownLLC is set when the hierarchy built its LLC (NewHierarchy) and so
+	// releases it; a shared LLC goes back with whoever built it.
+	ownLLC bool
 }
 
 // NewHierarchy builds a hierarchy from cfg with its own LLC and DRAM.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return NewSharedHierarchy(cfg, NewCache(cfg.LLC), NewDRAM(cfg.DRAM))
+	h := NewSharedHierarchy(cfg, NewCache(cfg.LLC), NewDRAM(cfg.DRAM))
+	h.ownLLC = true
+	return h
 }
 
 // NewSharedHierarchy builds the private levels of one core around a shared
@@ -431,6 +436,19 @@ func (h *Hierarchy) FlushAll() {
 	h.LLC.Flush()
 	h.FlushPrefetchBuffer()
 	h.lastDataBlock = 0
+}
+
+// Release hands the arrays of the caches h built — its private levels, and
+// its LLC unless it was built around a shared one — to later caches of the
+// same geometry (Cache.Release), poisoning them. Call it once nothing will
+// access h again; counters stay readable.
+func (h *Hierarchy) Release() {
+	h.L1I.Release()
+	h.L1D.Release()
+	h.L2.Release()
+	if h.ownLLC {
+		h.LLC.Release()
+	}
 }
 
 // ThrashFraction partially evicts every cache, modeling a bounded amount of

@@ -208,7 +208,7 @@ var installGeometries = []Config{
 // FuzzCacheInstall drives one op stream three ways on each geometry — the
 // single-scan route the Hierarchy uses (lookup, then hit or install into
 // the returned set, mergeDirty), the plain route (access, then fill and
-// markDirty), and refCache — and requires identical ways, flags, victims
+// markDirty) on recycled arrays, and refCache — and requires identical ways, flags, victims
 // and counters after every op. The stream mixes demand accesses, prefetch
 // fills, demand refills over present lines, dirty merges, markDirty,
 // Flush, EvictFraction and DrainUnusedPrefetches.
@@ -241,8 +241,14 @@ func installPool(cfg Config) []uint64 {
 	return pool
 }
 
+// runInstallStream drives ops through a new cache (a), a cache on arrays
+// recycled from one that ran ops first (b) and the reference.
 func runInstallStream(cfg Config, ops []byte) error {
-	a, b, ref := NewCache(cfg), NewCache(cfg), newRefCache(cfg)
+	a, ref := NewCache(cfg), newRefCache(cfg)
+	b, err := recycledCache(cfg, ops)
+	if err != nil {
+		return err
+	}
 	pool := installPool(cfg)
 	rngs := [3]uint64{1, 1, 1}
 	rng := func(i int) func() uint64 {

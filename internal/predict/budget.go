@@ -1,5 +1,7 @@
 package predict
 
+import "lukewarm/internal/cfgerr"
+
 // Budget is a fleet-level pre-warm allowance shared across every node's
 // traffic simulation: a total cap on scheduled pre-warms plus a per-function
 // refractory window, so hedged or retried traffic judged on two nodes never
@@ -15,9 +17,26 @@ type Budget struct {
 
 // NewBudget builds a shared allowance. total caps scheduled pre-warms
 // fleet-wide (0 = unlimited); refractoryMs is the minimum spacing between
-// granted pre-warms of the same function anywhere in the fleet (0 = none).
+// granted pre-warms of the same function anywhere in the fleet (0 = none;
+// +Inf grants each function one pre-warm for the whole run). A negative
+// total and a negative or NaN refractoryMs are rejected by Validate, and so
+// by every traffic simulation the budget is handed to.
 func NewBudget(total int, refractoryMs float64) *Budget {
 	return &Budget{total: total, refractoryMs: refractoryMs, last: map[string]float64{}}
+}
+
+// Validate reports whether the allowance is realizable; a nil budget is.
+// Errors wrap cfgerr.ErrBadConfig.
+func (b *Budget) Validate() error {
+	switch {
+	case b == nil:
+		return nil
+	case b.total < 0:
+		return cfgerr.New("predict: Budget total must be non-negative (0 = unlimited), got %d", b.total)
+	case !(b.refractoryMs >= 0):
+		return cfgerr.New("predict: Budget refractory window must be non-negative, got %g", b.refractoryMs)
+	}
+	return nil
 }
 
 // Allow reports whether a pre-warm of fn firing at absolute time atMs may be

@@ -1,9 +1,11 @@
 package predict
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/sched"
 )
 
@@ -256,6 +258,32 @@ func TestBudgetRefractoryAndCap(t *testing.T) {
 	var nb *Budget
 	if !nb.Allow("x", 0) {
 		t.Error("nil budget denied")
+	}
+}
+
+// TestBudgetValidate checks the budget domain: a negative total and a
+// negative or NaN refractory window are rejected, and +Inf grants each
+// function one pre-warm for the whole run.
+func TestBudgetValidate(t *testing.T) {
+	for _, b := range []*Budget{NewBudget(-1, 0), NewBudget(2, -1), NewBudget(2, math.NaN()), NewBudget(0, math.Inf(-1))} {
+		if err := b.Validate(); !errors.Is(err, cfgerr.ErrBadConfig) {
+			t.Errorf("NewBudget(%d, %g).Validate() = %v, want ErrBadConfig", b.total, b.refractoryMs, err)
+		}
+		cfg := &Config{Forecaster: Oracle(), Budget: b}
+		if err := cfg.Validate(); !errors.Is(err, cfgerr.ErrBadConfig) {
+			t.Errorf("Config with budget (%d, %g): Validate() = %v, want ErrBadConfig", b.total, b.refractoryMs, err)
+		}
+	}
+	var nb *Budget
+	if err := nb.Validate(); err != nil {
+		t.Errorf("nil budget: %v", err)
+	}
+	b := NewBudget(0, math.Inf(1))
+	if err := b.Validate(); err != nil {
+		t.Fatalf("+Inf refractory window: %v", err)
+	}
+	if !b.Allow("f", 0) || b.Allow("f", 1e9) || !b.Allow("g", 5) || b.Allow("g", -1e9) {
+		t.Error("+Inf refractory window: want one grant per function for the whole run")
 	}
 }
 

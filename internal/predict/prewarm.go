@@ -68,7 +68,7 @@ func (c *Config) Validate() error {
 	case !(c.LeadMs >= 0) || math.IsInf(c.LeadMs, 1):
 		return cfgerr.New("predict: LeadMs must be finite and non-negative, got %g", c.LeadMs)
 	}
-	return nil
+	return c.Budget.Validate()
 }
 
 // leadMs resolves the effective lead.

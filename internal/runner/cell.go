@@ -197,6 +197,7 @@ func Execute(c Cell) (Measurement, error) {
 		return Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap, PerfectICache: c.Perfect})
+	defer srv.Release()
 	inst := srv.Deploy(w)
 	return MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
 }

@@ -14,6 +14,7 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/mem"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 	"lukewarm/internal/workload"
@@ -180,6 +181,39 @@ func TestMeasureDeterministicAcrossJobs(t *testing.T) {
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("jobs=%d: measurements differ from jobs=1", jobs)
 		}
+	}
+}
+
+// TestMeasureRecyclesServers runs standard cells on four workers, each
+// building a server and releasing its caches for the next, and compares
+// them with the same cells measured on servers that are never released.
+// Under -race it checks that workers share the free list safely.
+func TestMeasureRecyclesServers(t *testing.T) {
+	cells := quickCells()[:4]
+	want := make([]Measurement, len(cells))
+	for i, c := range cells {
+		w, err := workload.ByName(c.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
+		if want[i], err = MeasureInstance(srv, srv.Deploy(w), c.Mode, c.Warmup, c.Measure, c.Audit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		got, err := testEngine(t, 4).Measure(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cells {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("round %d: %s on a recycled server differs from a new one", round, cells[i].Label())
+			}
+		}
+	}
+	if n, _ := mem.Retained(); n == 0 {
+		t.Error("no cell released its server's caches")
 	}
 }
 

@@ -174,6 +174,20 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// Release hands the server's simulated-hardware storage — every core's
+// branch tables and private cache levels, and the shared LLC once — to the
+// next server built (mem.FreeList). The server must not run again: a
+// released cache or branch table panics on its next access. Counters stay
+// readable, and a second Release does nothing. Whoever builds a server for
+// one run releases it when the run is done.
+func (s *Server) Release() {
+	for _, c := range s.Cores {
+		c.Release()
+		c.Hier.Release()
+	}
+	s.Core.Hier.LLC.Release()
+}
+
 // NumCores reports the core count.
 func (s *Server) NumCores() int { return len(s.Cores) }
 

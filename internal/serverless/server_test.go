@@ -1,10 +1,12 @@
 package serverless
 
 import (
+	"fmt"
 	"testing"
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/mem"
 	"lukewarm/internal/pif"
 	"lukewarm/internal/workload"
 )
@@ -200,4 +202,31 @@ func TestAdvanceIATZeroIsNoop(t *testing.T) {
 	if s.Core.Now() != before {
 		t.Error("AdvanceIAT(0) advanced the clock")
 	}
+}
+
+// TestServerReleaseOnce checks that Release poisons every cache a two-core
+// server built, the shared LLC included, that a second Release is harmless,
+// and that the released server panics on its next invocation. (That the
+// LLC enters the free list once is mem's TestReleaseOnce.)
+func TestServerReleaseOnce(t *testing.T) {
+	s := New(Config{Cores: 2})
+	inst := s.Deploy(authG(t))
+	s.Invoke(inst)
+	s.Release()
+	s.Release()
+	panics := func(name string, use func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic after Release", name)
+			}
+		}()
+		use()
+	}
+	for i, c := range s.Cores {
+		for _, l := range []*mem.Cache{c.Hier.L1I, c.Hier.L1D, c.Hier.L2, c.Hier.LLC} {
+			panics(fmt.Sprintf("core %d %s", i, l.Config().Name), func() { l.Probe(0x40) })
+		}
+	}
+	panics("Invoke", func() { s.Invoke(inst) })
 }

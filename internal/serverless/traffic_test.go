@@ -217,6 +217,18 @@ func TestServeTrafficRejectsBadConfig(t *testing.T) {
 			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
 				Predict: &predict.Config{Forecaster: predict.Oracle(), LeadMs: math.NaN()}})
 		},
+		"negative pre-warm budget": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
+				Predict: &predict.Config{Forecaster: predict.Oracle(), Budget: predict.NewBudget(-1, 0)}})
+		},
+		"negative refractory window": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
+				Predict: &predict.Config{Forecaster: predict.Oracle(), Budget: predict.NewBudget(4, -1)}})
+		},
+		"NaN refractory window": func() (TrafficResult, error) {
+			return s.ServeTraffic(TrafficConfig{MeanIATms: 10, InvocationsPerInstance: 1,
+				Predict: &predict.Config{Forecaster: predict.Oracle(), Budget: predict.NewBudget(4, math.NaN())}})
+		},
 	} {
 		if _, err := run(); err == nil {
 			t.Errorf("%s: expected error", name)

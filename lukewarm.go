@@ -272,7 +272,9 @@ func NewForecaster(name string) Forecaster { return predict.NewForecaster(name) 
 
 // NewPrewarmBudget builds a shared pre-warm allowance: total caps scheduled
 // pre-warms fleet-wide (0 = unlimited), refractoryMs is the minimum spacing
-// between granted pre-warms of the same function anywhere in the fleet.
+// between granted pre-warms of the same function anywhere in the fleet
+// (+Inf: one per function per run). A run handed a negative total or a
+// negative or NaN refractoryMs fails with ErrBadConfig.
 func NewPrewarmBudget(total int, refractoryMs float64) *PrewarmBudget {
 	return predict.NewBudget(total, refractoryMs)
 }
