@@ -51,13 +51,7 @@ func TestReferenceFIFOBasics(t *testing.T) {
 
 // TestOracles runs every differential-oracle check as a subtest.
 func TestOracles(t *testing.T) {
-	for _, c := range oracleChecks() {
-		t.Run(strings.TrimPrefix(c.name, "oracle/"), func(t *testing.T) {
-			if err := c.fn(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	runChecks(t, oracleChecks(), func(n string) string { return strings.TrimPrefix(n, "oracle/") })
 }
 
 // TestOracleCatchesPlantedBug makes sure a differential check actually

@@ -10,14 +10,7 @@ import (
 // chunked flat frame table in internal/vm must agree with the map-backed
 // reference on every translation, lookup, page enumeration and compaction.
 func TestPageTableDifferential(t *testing.T) {
-	for _, c := range pagetableChecks() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			if err := c.fn(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	runChecks(t, pagetableChecks(), func(n string) string { return n })
 }
 
 // TestPageTableDivergenceDetected makes sure the reference model has teeth:

@@ -5,6 +5,7 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/faults"
 	"lukewarm/internal/mem"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/runner"
@@ -80,16 +81,17 @@ func Compaction(opt Options) (CompactionResult, error) {
 // cell's warm-up invocations, migrate every page, then measure the first
 // post-compaction invocation.
 func execCompaction(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
-	srv := newServer(c.CPU, c.Jukebox, false)
+	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
 	defer srv.Release()
 	inst := srv.Deploy(w)
 	srv.RunLukewarm(inst, c.Warmup) // record metadata
 	inst.AS.Compact()               // the OS migrates every page
-	return runner.MeasureInstance(srv, inst, runner.Lukewarm, 0, c.Measure, c.Audit)
+	c.Warmup = 0
+	return runner.MeasureInstance(srv, inst, c)
 }
 
 // Table renders the ablation.
@@ -131,9 +133,10 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 		replay := opt.variantCell("snapshot-replay", w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execSnapshotReplay)
 		rc := reap.DefaultConfig()
 		replay.Reap = &rc
-		cells = append(cells,
-			opt.variantCell("snapshot-cold", w.Name, cpu.SkylakeConfig(), nil, lukewarm, execSnapshotCold),
-			replay)
+		// A fresh instance's fully cold first invocation.
+		cold := opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm)
+		cold.Warmup, cold.Measure = 0, 1
+		cells = append(cells, cold, replay)
 	}
 	ms, err := opt.Engine.Measure(cells)
 	if err != nil {
@@ -150,26 +153,13 @@ func Snapshot(opt Options) (SnapshotResult, error) {
 	return out, nil
 }
 
-// execSnapshotCold executes a "snapshot-cold" cell: a fresh instance's
-// fully cold first invocation.
-func execSnapshotCold(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	srv := newServer(c.CPU, nil, false)
-	defer srv.Release()
-	inst := srv.Deploy(w)
-	srv.FlushMicroarch()
-	res := srv.Invoke(inst)
-	return runner.Measurement{Instrs: res.Instrs, Cycles: res.Cycles}, nil
-}
-
 // execSnapshotReplay executes a "snapshot-replay" cell: a donor records
 // metadata over the cell's warm-up invocations, then a restored instance
-// adopts it and replays on its own first invocation.
+// adopts it and replays on its own first invocation. Under Audit, that
+// invocation and the restored instance's Jukebox and REAP ledgers are
+// checked.
 func execSnapshotReplay(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
@@ -189,6 +179,18 @@ func execSnapshotReplay(c runner.Cell) (runner.Measurement, error) {
 	}
 	srv.FlushMicroarch()
 	first := srv.Invoke(restored)
+	if c.Audit {
+		err = faults.Audit(first)
+		if err == nil {
+			err = faults.AuditJukebox(restored.Jukebox.Stats)
+		}
+		if err == nil {
+			err = faults.AuditReap(restored.Reap.Stats)
+		}
+		if err != nil {
+			return runner.Measurement{}, fmt.Errorf("%s: %w", c.Label(), err)
+		}
+	}
 	return runner.Measurement{Instrs: first.Instrs, Cycles: first.Cycles}, nil
 }
 
@@ -235,7 +237,7 @@ func DynamicMetadata(opt Options) (DynamicMetadataResult, error) {
 		sizing.ReplayEnabled = false
 		phase1 = append(phase1,
 			opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm),
-			opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &sizing, lukewarm, execRecordOnly))
+			opt.recordCell(w.Name, sizing))
 	}
 	ms1, err := opt.Engine.Measure(phase1)
 	if err != nil {
@@ -246,7 +248,7 @@ func DynamicMetadata(opt Options) (DynamicMetadataResult, error) {
 	dynBudgets := make([]int, len(suite))
 	var phase2 []runner.Cell
 	for i, w := range suite {
-		pages := (ms1[2*i+1].MetaBytes + 4095) / 4096
+		pages := (ms1[2*i+1].JB.LastRecordBytes + 4095) / 4096
 		dynBudgets[i] = pages * 4096
 		fixedJB := core.DefaultConfig()
 		fixedJB.MetadataBytes = 16 << 10

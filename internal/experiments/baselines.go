@@ -9,6 +9,7 @@ import (
 	"lukewarm/internal/runner"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
+	"lukewarm/internal/workload"
 )
 
 // BaselinesResult backs the Sec. 6 related-work comparison: Jukebox against
@@ -25,34 +26,34 @@ type BaselinesResult struct {
 	MetadataKB map[string]float64
 }
 
-// baselineSchemes are the compared schemes, in presentation order, each
-// with its executor, which reports the scheme's per-instance metadata cost
-// in MetaBytes.
+// baselineSchemes are the compared schemes, in presentation order. The
+// comparator prefetchers carry executors, which report their per-instance
+// metadata cost in MetaBytes; Jukebox is a standard cell (Fig. 10's), whose
+// cost follows from its configuration.
 var baselineSchemes = []struct {
 	name string
 	exec func(runner.Cell) (runner.Measurement, error)
 }{
 	{"NextLine", execNextLine},
 	{"RECAP", execRecap},
-	{"Jukebox", execJukeboxMeta},
+	{"Jukebox", nil},
 }
 
 // execNextLine measures a cell with a next-line instruction prefetcher.
 func execNextLine(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU})
 	defer srv.Release()
 	srv.AttachCorePrefetcher(baselines.NewNextLineI(srv.Core.Hier, 1))
-	inst := srv.Deploy(w)
-	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	return runner.MeasureInstance(srv, srv.Deploy(w), c)
 }
 
 // execRecap measures a cell with RECAP-style whole-LLC restoration.
 func execRecap(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
@@ -60,24 +61,8 @@ func execRecap(c runner.Cell) (runner.Measurement, error) {
 	defer srv.Release()
 	rc := baselines.NewRecap(srv.Core.Hier)
 	srv.AttachCorePrefetcher(rc)
-	inst := srv.Deploy(w)
-	m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	m, err := runner.MeasureInstance(srv, srv.Deploy(w), c)
 	m.MetaBytes = rc.Stats.LastMetadataBytes
-	return m, err
-}
-
-// execJukeboxMeta measures a Jukebox cell as Execute does, plus its
-// metadata footprint.
-func execJukeboxMeta(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	srv := newServer(c.CPU, c.Jukebox, false)
-	defer srv.Release()
-	inst := srv.Deploy(w)
-	m, err := runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
-	m.MetaBytes = inst.Jukebox.MetadataFootprintBytes()
 	return m, err
 }
 
@@ -109,12 +94,12 @@ func Baselines(opt Options) (BaselinesResult, error) {
 	for _, w := range suite {
 		cells = append(cells, opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, lukewarm))
 		for _, sc := range baselineSchemes {
-			var jb *core.Config
-			if sc.name == "Jukebox" {
-				c := core.DefaultConfig()
-				jb = &c
+			if sc.exec == nil {
+				jb := core.DefaultConfig()
+				cells = append(cells, opt.cell(w.Name, cpu.SkylakeConfig(), &jb, false, lukewarm))
+				continue
 			}
-			cells = append(cells, opt.variantCell("baseline-"+sc.name, w.Name, cpu.SkylakeConfig(), jb, lukewarm, sc.exec))
+			cells = append(cells, opt.variantCell("baseline-"+sc.name, w.Name, cpu.SkylakeConfig(), nil, lukewarm, sc.exec))
 		}
 	}
 	ms, err := opt.Engine.Measure(cells)
@@ -140,7 +125,13 @@ func Baselines(opt Options) (BaselinesResult, error) {
 			scale := float64(base.Instrs) / float64(m.Instrs)
 			// float64(...) rounds the product, so it cannot fuse into the subtract (make fmagate).
 			a.bw.Add(stats.Pct(float64(float64(bytes)*scale)-float64(baseBytes), float64(baseBytes)))
-			a.meta.Add(float64(m.MetaBytes) / 1024)
+			meta := m.MetaBytes
+			if sc.exec == nil {
+				// A bounded budget costs its record and replay buffers
+				// (core.Jukebox.MetadataFootprintBytes).
+				meta = 2 * core.DefaultConfig().MetadataBytes
+			}
+			a.meta.Add(float64(meta) / 1024)
 		}
 	}
 	for _, sc := range baselineSchemes {

@@ -55,11 +55,10 @@ type ChaosResult struct {
 func Chaos(opt Options) (ChaosResult, error) {
 	opt = opt.withDefaults()
 	out := ChaosResult{Seed: opt.Seed}
-	fns := opt.Functions
-	if len(fns) == 0 {
-		fns = workload.Representatives()
+	if len(opt.Functions) == 0 {
+		opt.Functions = workload.Representatives()
 	}
-	ws, err := resolve(fns)
+	ws, err := opt.suite()
 	if err != nil {
 		return out, err
 	}

@@ -6,7 +6,6 @@ import (
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/mem"
 	"lukewarm/internal/runner"
-	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 	"lukewarm/internal/topdown"
 	"lukewarm/internal/workload"
@@ -29,8 +28,9 @@ type Fig1Result struct {
 }
 
 // Fig1 runs the IAT sweep. Every (function, IAT) point is one cell: the
-// point's server warms up, idles for the gap, and measures independently of
-// every other point, so the sweep parallelizes fully.
+// point's server warms up back-to-back, then every measured invocation
+// follows an idle gap of the IAT, independently of every other point, so the
+// sweep parallelizes fully.
 func Fig1(opt Options) (Fig1Result, error) {
 	opt = opt.withDefaults()
 	fns := opt.Functions
@@ -44,15 +44,13 @@ func Fig1(opt Options) (Fig1Result, error) {
 		rows[i] = Fig1Row{IATms: iat, NormCPI: map[string]float64{}}
 	}
 
-	suite, err := resolve(fns)
-	if err != nil {
-		return res, err
-	}
 	var cells []runner.Cell
-	for _, w := range suite {
+	for _, w := range fns {
 		for _, iat := range iats {
-			cells = append(cells, opt.variantCell(fmt.Sprintf("fig1-iat=%g", iat), w.Name, cpu.CharacterizationConfig(), nil, reference,
-				func(c runner.Cell) (measured, error) { return execFig1(c, w, iat) }))
+			c := opt.cell(w, cpu.CharacterizationConfig(), nil, false, runner.Idle)
+			c.IdleMs = iat
+			c.Warmup++
+			cells = append(cells, warmedUnder(c, reference))
 		}
 	}
 	ms, err := opt.Engine.Measure(cells)
@@ -67,22 +65,6 @@ func Fig1(opt Options) (Fig1Result, error) {
 	}
 	res.Rows = rows
 	return res, nil
-}
-
-// execFig1 measures one Fig. 1 point: w warms up back-to-back, then every
-// measured invocation follows an idle gap of iatMs.
-func execFig1(c runner.Cell, w workload.Workload, iatMs float64) (measured, error) {
-	srv := serverless.New(serverless.Config{CPU: c.CPU})
-	defer srv.Release()
-	inst := srv.Deploy(w)
-	srv.RunReference(inst, c.Warmup+1)
-	var m measured
-	for k := 0; k < c.Measure; k++ {
-		r := srv.RunWithIAT(inst, 1, iatMs)
-		m.Instrs += r.Instrs
-		m.Cycles += r.Cycles
-	}
-	return m, nil
 }
 
 // Table renders the sweep.

@@ -9,7 +9,6 @@ import (
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/faults"
 	"lukewarm/internal/mem"
-	"lukewarm/internal/pif"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/serverless"
@@ -39,7 +38,7 @@ var coldstartMechs = []ColdstartMech{MechNone, MechREAP, MechJB, MechPIF, MechRE
 // (cold) or an idle inter-arrival gap (lukewarm).
 type coldstartBand struct {
 	name  string
-	cold  bool
+	mode  mode
 	iatMs float64
 }
 
@@ -47,10 +46,10 @@ type coldstartBand struct {
 // lukewarm IAT band (tens to hundreds of milliseconds, Sec. 2.1) at the
 // other.
 var coldstartBands = []coldstartBand{
-	{name: "cold", cold: true},
-	{name: "iat8ms", iatMs: 8},
-	{name: "iat64ms", iatMs: 64},
-	{name: "iat512ms", iatMs: 512},
+	{name: "cold", mode: runner.Cold},
+	{name: "iat8ms", mode: runner.Idle, iatMs: 8},
+	{name: "iat64ms", mode: runner.Idle, iatMs: 64},
+	{name: "iat512ms", mode: runner.Idle, iatMs: 512},
 }
 
 // coldstartStaleAges is the manifest-age axis of the staleness sweep.
@@ -101,13 +100,17 @@ type StalenessRow struct {
 	WastedPct float64
 }
 
-// coldstartCell describes one (function, mechanism, band) point. Every point
-// carries its own executor: the measurement loop (evict or idle per
-// invocation) is custom, and mechanism configs ride on the cell so they land
-// in the cache key.
+// coldstartCell describes one (function, mechanism, band) point: a lukewarm
+// warm-up records the manifest and metadata, then every measured invocation
+// starts from the band's condition — eviction plus a full flush (cold: pages
+// gone, Jukebox metadata gone, REAP manifest survives) or an idle gap
+// (lukewarm: partial thrash, delta restore). PIF points run through
+// execPIF; the others are standard cells.
 func coldstartCell(opt Options, w string, m ColdstartMech, b coldstartBand) runner.Cell {
-	c := opt.variantCell(fmt.Sprintf("coldstart-%s-%s", m, b.name), w, cpu.SkylakeConfig(), nil, lukewarm,
-		func(c runner.Cell) (runner.Measurement, error) { return execColdstart(c, m, b) })
+	c := opt.cell(w, cpu.SkylakeConfig(), nil, false, lukewarm)
+	if m == MechPIF {
+		c = pifCell(opt, w, CfgPIF)
+	}
 	if m == MechJB || m == MechREAPJB {
 		jb := core.DefaultConfig()
 		c.Jukebox = &jb
@@ -116,52 +119,9 @@ func coldstartCell(opt Options, w string, m ColdstartMech, b coldstartBand) runn
 		rc := reap.DefaultConfig()
 		c.Reap = &rc
 	}
+	c = warmedUnder(c, lukewarm)
+	c.Mode, c.IdleMs = b.mode, b.iatMs
 	return c
-}
-
-// execColdstart executes coldstart cells: warm up and record lukewarm, then
-// measure invocations that each start from the band's condition — eviction
-// plus a full flush (cold: pages gone, Jukebox metadata gone, REAP manifest
-// survives) or an idle gap (lukewarm: partial thrash, delta restore). The
-// window is audited like runner.MeasureInstance's; only cold bands start
-// every invocation from flushed caches, so only they audit the caches.
-func execColdstart(c runner.Cell, mech ColdstartMech, band coldstartBand) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
-	defer srv.Release()
-	if mech == MechPIF {
-		srv.AttachCorePrefetcher(pif.New(pif.DefaultConfig(), srv.Core.Hier))
-	}
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, c.Warmup) // functional warm-up records manifest + metadata
-	runner.BeginWindow(srv, inst)
-
-	var out runner.Measurement
-	for i := 0; i < c.Measure; i++ {
-		if band.cold {
-			inst.Evict()
-			srv.FlushMicroarch()
-		} else {
-			srv.AdvanceIAT(band.iatMs)
-		}
-		res := srv.Invoke(inst)
-		if c.Audit {
-			if err := faults.Audit(res); err != nil {
-				return out, fmt.Errorf("%s invocation %d: %w", c.Label(), i, err)
-			}
-		}
-		if i == 0 {
-			out.FirstInvCycles = res.Cycles
-		}
-		out.Stack.Merge(res.Stack)
-		out.Instrs += res.Instrs
-		out.Cycles += res.Cycles
-	}
-	err = runner.EndWindow(srv, inst, &out, c.Audit, band.cold)
-	return out, err
 }
 
 // execColdstartStale executes one staleness point: freeze the manifest after
@@ -169,7 +129,7 @@ func execColdstart(c runner.Cell, mech ColdstartMech, band coldstartBand) (runne
 // age it for age-1 lukewarm invocations, and measure the restore before
 // invocation age.
 func execColdstartStale(c runner.Cell, age int) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
@@ -279,7 +239,7 @@ func Coldstart(opt Options) (ColdstartResult, error) {
 			}
 		}
 		out.Winner[b.name] = best
-		if !b.cold && out.CrossoverIATms < 0 &&
+		if b.mode == runner.Idle && out.CrossoverIATms < 0 &&
 			geoCycles[b.name][MechJB] < geoCycles[b.name][MechREAP] {
 			out.CrossoverIATms = b.iatMs
 		}

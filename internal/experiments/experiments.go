@@ -108,19 +108,15 @@ func (o Options) trafficCell(variant string, suite []workload.Workload, cores in
 	})
 }
 
-// suite resolves the selected workloads, erroring on unknown names.
+// suite resolves the selected workloads (the whole suite when
+// o.Functions is empty), erroring on unknown names.
 func (o Options) suite() ([]workload.Workload, error) {
 	if len(o.Functions) == 0 {
 		return workload.Suite(), nil
 	}
-	return resolve(o.Functions)
-}
-
-// resolve looks up the named workloads, erroring on unknown names.
-func resolve(names []string) ([]workload.Workload, error) {
-	ws := make([]workload.Workload, len(names))
-	for i, name := range names {
-		w, err := suiteByName(name)
+	ws := make([]workload.Workload, len(o.Functions))
+	for i, name := range o.Functions {
+		w, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +135,7 @@ func suiteTag(ws []workload.Workload) string {
 	return strings.Join(names, "+")
 }
 
-// mode selects the execution regime of a measurement (see runner.Mode).
+// mode is a measurement's start condition (see runner.Mode).
 type mode = runner.Mode
 
 const (
@@ -150,10 +146,12 @@ const (
 	lukewarm = runner.Lukewarm
 )
 
+// warmedUnder returns c with its warm-up run under md instead of its
+// measured start condition.
+func warmedUnder(c runner.Cell, md mode) runner.Cell {
+	c.WarmupMode = &md
+	return c
+}
+
 // measured aggregates one measurement window (see runner.Measurement).
 type measured = runner.Measurement
-
-// newServer builds a single-purpose server for one measurement.
-func newServer(cfg cpu.Config, jb *core.Config, perfect bool) *serverless.Server {
-	return serverless.New(serverless.Config{CPU: cfg, Jukebox: jb, PerfectICache: perfect})
-}

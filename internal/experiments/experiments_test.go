@@ -501,10 +501,10 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestSuiteByNameRejectsUnknown(t *testing.T) {
-	if _, err := suiteByName("Nope-X"); !errors.Is(err, cfgerr.ErrBadConfig) {
+	if _, err := (Options{Functions: []string{"Auth-G", "Nope-X"}}).suite(); !errors.Is(err, cfgerr.ErrBadConfig) {
 		t.Errorf("unknown function: err = %v, want ErrBadConfig", err)
 	}
-	if w, err := suiteByName("Auth-G"); err != nil || w.Name != "Auth-G" {
-		t.Errorf("known function: %v, %v", w.Name, err)
+	if ws, err := (Options{Functions: []string{"Auth-G"}}).suite(); err != nil || len(ws) != 1 || ws[0].Name != "Auth-G" {
+		t.Errorf("known function: %v, %v", ws, err)
 	}
 }

@@ -36,8 +36,8 @@ type Fig13Result struct {
 // pifCell describes one workload under one Fig. 13 configuration. Baseline
 // and plain-Jukebox configurations are standard cells — they hit the same
 // cache entries as Fig. 10's baseline and Jukebox measurements — while the
-// PIF-attaching configurations carry a "fig13-" variant label and run
-// through execPIF with their PIF configuration.
+// PIF-attaching configurations carry a "pif" or "pif-ideal" variant label
+// and run through execPIF with that PIF configuration.
 func pifCell(opt Options, w string, cfg PIFConfig) runner.Cell {
 	var jb *core.Config
 	if cfg == CfgJukebox || cfg == CfgJBPIFIdeal {
@@ -47,26 +47,25 @@ func pifCell(opt Options, w string, cfg PIFConfig) runner.Cell {
 	if cfg == CfgBaseline || cfg == CfgJukebox {
 		return opt.cell(w, cpu.SkylakeConfig(), jb, false, lukewarm)
 	}
-	pc := pif.IdealConfig()
+	variant, pc := "pif-ideal", pif.IdealConfig()
 	if cfg == CfgPIF {
-		pc = pif.DefaultConfig()
+		variant, pc = "pif", pif.DefaultConfig()
 	}
-	return opt.variantCell("fig13-"+string(cfg), w, cpu.SkylakeConfig(), jb, lukewarm,
+	return opt.variantCell(variant, w, cpu.SkylakeConfig(), jb, lukewarm,
 		func(c runner.Cell) (runner.Measurement, error) { return execPIF(c, pc) })
 }
 
 // execPIF measures a cell with a PIF prefetcher of configuration pc
 // attached.
 func execPIF(c runner.Cell, pc pif.Config) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
+	w, err := workload.ByName(c.Workload)
 	if err != nil {
 		return runner.Measurement{}, err
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
 	defer srv.Release()
 	srv.AttachCorePrefetcher(pif.New(pc, srv.Core.Hier))
-	inst := srv.Deploy(w)
-	return runner.MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	return runner.MeasureInstance(srv, srv.Deploy(w), c)
 }
 
 // Fig13 compares Jukebox against PIF and PIF-ideal, alone and combined, on

@@ -6,7 +6,6 @@ import (
 
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
-	"lukewarm/internal/faults"
 	"lukewarm/internal/predict"
 	"lukewarm/internal/reap"
 	"lukewarm/internal/runner"
@@ -133,40 +132,17 @@ func (sp prewarmSpec) traffic(suite []workload.Workload) serverless.TrafficConfi
 	return cfg
 }
 
-// execPrewarmWarm executes one warm-reference cell: back-to-back
-// invocations of a single function with nothing disturbed, no mechanisms —
-// the readiness ceiling every pre-warm chases.
-func execPrewarmWarm(c runner.Cell, w workload.Workload) (runner.Measurement, error) {
-	srv := serverless.New(serverless.Config{CPU: c.CPU, Cores: 1})
-	defer srv.Release()
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, c.Warmup)
-	var out runner.Measurement
-	for i := 0; i < c.Measure; i++ {
-		res := srv.Invoke(inst)
-		if c.Audit {
-			if err := faults.Audit(res); err != nil {
-				return out, fmt.Errorf("%s invocation %d: %w", c.Label(), i, err)
-			}
-		}
-		out.Instrs += res.Instrs
-		out.Cycles += res.Cycles
-	}
-	return out, nil
-}
-
 // Prewarm runs the predictive pre-warm experiment (see DESIGN.md Sec. 12):
 // forecaster x lead x arrival shape over the language representatives, with
 // a bare (replay-at-dispatch) baseline per shape and a fully warm reference
 // closing the penalty scale.
 func Prewarm(opt Options) (PrewarmResult, error) {
 	opt = opt.withDefaults()
-	fns := opt.Functions
-	if len(fns) == 0 {
-		fns = workload.Representatives()
+	if len(opt.Functions) == 0 {
+		opt.Functions = workload.Representatives()
 	}
-	out := PrewarmResult{Functions: fns}
-	suite, err := resolve(fns)
+	out := PrewarmResult{Functions: opt.Functions}
+	suite, err := opt.suite()
 	if err != nil {
 		return out, err
 	}
@@ -199,10 +175,12 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		c.Reap = &rc
 		cells = append(cells, c)
 	}
+	// The warm references: back-to-back invocations of each function after
+	// a lukewarm warm-up, nothing disturbed, no mechanisms — the readiness
+	// ceiling every pre-warm chases.
 	warmStart := len(cells)
 	for _, w := range suite {
-		cells = append(cells, opt.variantCell("prewarm-warm", w.Name, cpu.SkylakeConfig(), nil, reference,
-			func(c runner.Cell) (runner.Measurement, error) { return execPrewarmWarm(c, w) }))
+		cells = append(cells, warmedUnder(opt.cell(w.Name, cpu.SkylakeConfig(), nil, false, reference), lukewarm))
 	}
 
 	ms, err := opt.Engine.Measure(cells)
@@ -217,7 +195,7 @@ func Prewarm(opt Options) (PrewarmResult, error) {
 		})
 	}
 	var warm []float64
-	for i := range fns {
+	for i := range suite {
 		m := ms[warmStart+i]
 		if m.Instrs > 0 {
 			warm = append(warm, float64(m.Cycles)/float64(m.Instrs))

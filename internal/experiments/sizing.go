@@ -7,7 +7,6 @@ import (
 	"lukewarm/internal/cpu"
 	"lukewarm/internal/runner"
 	"lukewarm/internal/stats"
-	"lukewarm/internal/workload"
 )
 
 // recordJB is the record-only Jukebox configuration Fig. 8 sweeps: an
@@ -23,23 +22,14 @@ func recordJB(regionBytes, crrbEntries int) core.Config {
 	}
 }
 
-// execRecordOnly executes a "fig8-record" cell: one lukewarm invocation with
-// a record-only Jukebox, reporting the recorded metadata size in MetaBytes.
-// Fig8, CRRBAblation and DynamicMetadata share this executor, so overlapping
-// sweep points (e.g. CRRB=16 at 1 KB regions) are simulated once.
-func execRecordOnly(c runner.Cell) (runner.Measurement, error) {
-	w, err := suiteByName(c.Workload)
-	if err != nil {
-		return runner.Measurement{}, err
-	}
-	srv := newServer(c.CPU, c.Jukebox, false)
-	defer srv.Release()
-	inst := srv.Deploy(w)
-	srv.RunLukewarm(inst, 1)
-	return runner.Measurement{
-		JB:        inst.Jukebox.Stats,
-		MetaBytes: inst.Jukebox.Stats.LastRecordBytes,
-	}, nil
+// recordCell measures the metadata jb records over one lukewarm invocation
+// of a fresh instance: Fig8, CRRBAblation and DynamicMetadata read it from
+// JB.LastRecordBytes, and overlapping sweep points (e.g. CRRB=16 at 1 KB
+// regions) are simulated once.
+func (o Options) recordCell(w string, jb core.Config) runner.Cell {
+	c := o.cell(w, cpu.SkylakeConfig(), &jb, false, lukewarm)
+	c.Warmup, c.Measure = 0, 1
+	return c
 }
 
 // Fig8Row is one function's metadata-size curve across region sizes.
@@ -73,8 +63,7 @@ func Fig8(opt Options) (Fig8Result, error) {
 	var cells []runner.Cell
 	for _, w := range suite {
 		for _, rs := range regions {
-			jb := recordJB(rs, fig8CRRBEntries)
-			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execRecordOnly))
+			cells = append(cells, opt.recordCell(w.Name, recordJB(rs, fig8CRRBEntries)))
 		}
 	}
 	ms, err := opt.Engine.Measure(cells)
@@ -84,7 +73,7 @@ func Fig8(opt Options) (Fig8Result, error) {
 	for wi, w := range suite {
 		row := Fig8Row{Name: w.Name, BytesByRegion: map[int]int{}}
 		for ri, rs := range regions {
-			row.BytesByRegion[rs] = ms[wi*len(regions)+ri].MetaBytes
+			row.BytesByRegion[rs] = ms[wi*len(regions)+ri].JB.LastRecordBytes
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -152,8 +141,7 @@ func CRRBAblation(opt Options) (CRRBAblationResult, error) {
 	var cells []runner.Cell
 	for _, n := range out.Sizes {
 		for _, w := range suite {
-			jb := recordJB(1024, n)
-			cells = append(cells, opt.variantCell("fig8-record", w.Name, cpu.SkylakeConfig(), &jb, lukewarm, execRecordOnly))
+			cells = append(cells, opt.recordCell(w.Name, recordJB(1024, n)))
 		}
 	}
 	ms, err := opt.Engine.Measure(cells)
@@ -163,7 +151,7 @@ func CRRBAblation(opt Options) (CRRBAblationResult, error) {
 	for ni := range out.Sizes {
 		var s stats.Summary
 		for wi := range suite {
-			s.Add(float64(ms[ni*len(suite)+wi].MetaBytes) / 1024)
+			s.Add(float64(ms[ni*len(suite)+wi].JB.LastRecordBytes) / 1024)
 		}
 		out.MeanKB = append(out.MeanKB, s.Mean())
 	}
@@ -177,13 +165,4 @@ func (r CRRBAblationResult) Table() *stats.Table {
 		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.1f", r.MeanKB[i]))
 	}
 	return t
-}
-
-// suiteByName is a convenience for single-function lookups in experiments.
-func suiteByName(name string) (workload.Workload, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return workload.Workload{}, fmt.Errorf("experiments: %w", err)
-	}
-	return w, nil
 }

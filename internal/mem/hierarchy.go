@@ -343,11 +343,18 @@ func (h *Hierarchy) pfBufTake(now Cycle, paddr uint64) (wait Cycle, hit bool) {
 // PrefetchIntoBuffer stages the block containing paddr in the instruction
 // prefetch buffer (stream-prefetcher target), filling L2/LLC on the way as
 // the data passes through. A FIFO victim that was never used counts as an
-// overprediction. Returns the ready cycle; a no-op if the block is already
-// in the L1-I or the buffer.
+// overprediction. Without a buffer the block is installed into the L1-I
+// itself. Returns the ready cycle; a no-op if the block is already in the
+// L1-I or the buffer.
 func (h *Hierarchy) PrefetchIntoBuffer(now Cycle, paddr uint64, cls TrafficClass) Cycle {
 	if len(h.pfBuf) == 0 {
-		return h.PrefetchIntoL1I(now, paddr, cls)
+		s1, i1 := h.L1I.lookup(paddr)
+		if i1 >= 0 {
+			return now
+		}
+		ready := h.prefetchOuter(now, now, paddr, Instr, cls)
+		h.L1I.install(s1, paddr, prefetchFlags(Instr), ready)
+		return ready
 	}
 	blk := BlockAddr(paddr)
 	if h.L1I.Probe(blk) {
@@ -367,17 +374,6 @@ func (h *Hierarchy) PrefetchIntoBuffer(now Cycle, paddr uint64, cls TrafficClass
 	h.pfBufPos = (h.pfBufPos + 1) % len(h.pfBuf)
 	h.PFBuf.Fills++
 	return ready
-}
-
-// FlushPrefetchBuffer invalidates the buffer, counting unused entries as
-// overpredicted.
-func (h *Hierarchy) FlushPrefetchBuffer() {
-	for i := range h.pfBuf {
-		if h.pfBuf[i].valid {
-			h.PFBuf.EvictionUnused++
-			h.pfBuf[i].valid = false
-		}
-	}
 }
 
 // PrefetchIntoLLC installs the block containing paddr into the LLC only,
@@ -415,26 +411,21 @@ func (h *Hierarchy) PrefetchLineIntoLLCBlind(now Cycle, paddr uint64, k Kind, cl
 	return ready
 }
 
-// PrefetchIntoL1I installs the block containing paddr into the L1-I (used by
-// the PIF comparator, which targets the L1-I). Returns the ready cycle.
-func (h *Hierarchy) PrefetchIntoL1I(now Cycle, paddr uint64, cls TrafficClass) Cycle {
-	s1, i1 := h.L1I.lookup(paddr)
-	if i1 >= 0 {
-		return now
-	}
-	ready := h.prefetchOuter(now, now, paddr, Instr, cls)
-	h.L1I.install(s1, paddr, prefetchFlags(Instr), ready)
-	return ready
-}
-
-// FlushAll invalidates every cache, modeling total obliteration of on-chip
-// state between invocations (the paper's simulated interleaving baseline).
+// FlushAll invalidates every cache and the prefetch buffer, counting the
+// buffer's unused entries as overpredicted, modeling total obliteration of
+// on-chip state between invocations (the paper's simulated interleaving
+// baseline).
 func (h *Hierarchy) FlushAll() {
 	h.L1I.Flush()
 	h.L1D.Flush()
 	h.L2.Flush()
 	h.LLC.Flush()
-	h.FlushPrefetchBuffer()
+	for i := range h.pfBuf {
+		if h.pfBuf[i].valid {
+			h.PFBuf.EvictionUnused++
+			h.pfBuf[i].valid = false
+		}
+	}
 	h.lastDataBlock = 0
 }
 
@@ -449,16 +440,6 @@ func (h *Hierarchy) Release() {
 	if h.ownLLC {
 		h.LLC.Release()
 	}
-}
-
-// ThrashFraction partially evicts every cache, modeling a bounded amount of
-// interleaved foreign execution (Fig. 1's sub-saturation IATs). frac is the
-// per-line eviction probability; rng supplies deterministic randomness.
-func (h *Hierarchy) ThrashFraction(frac float64, rng func() uint64) {
-	h.L1I.EvictFraction(frac, rng)
-	h.L1D.EvictFraction(frac, rng)
-	h.L2.EvictFraction(frac, rng)
-	h.LLC.EvictFraction(frac, rng)
 }
 
 // ResetStats zeroes all counters without disturbing cache contents.

@@ -146,9 +146,11 @@ func TestPrefetchIntoL2FromLLC(t *testing.T) {
 	}
 }
 
+// TestPrefetchIntoL1I covers PrefetchIntoBuffer on a hierarchy without a
+// prefetch buffer, which installs into the L1-I itself.
 func TestPrefetchIntoL1I(t *testing.T) {
 	h := newTestHierarchy()
-	ready := h.PrefetchIntoL1I(0, 0x5000, TrafficPrefetch)
+	ready := h.PrefetchIntoBuffer(0, 0x5000, TrafficPrefetch)
 	if !h.L1I.Probe(0x5000) || !h.L2.Probe(0x5000) {
 		t.Error("L1I prefetch did not fill path")
 	}
@@ -159,7 +161,7 @@ func TestPrefetchIntoL1I(t *testing.T) {
 	// From L2.
 	h.L1I.Flush()
 	before := h.DRAM.TotalBytes()
-	ready = h.PrefetchIntoL1I(1000, 0x5000, TrafficPrefetch)
+	ready = h.PrefetchIntoBuffer(1000, 0x5000, TrafficPrefetch)
 	if want := Cycle(1000) + h.Config().L2.HitLatency; ready != want {
 		t.Errorf("L2-sourced ready = %d, want %d", ready, want)
 	}
@@ -167,13 +169,13 @@ func TestPrefetchIntoL1I(t *testing.T) {
 		t.Error("L2-sourced L1I prefetch touched DRAM")
 	}
 	// Resident: no-op.
-	if got := h.PrefetchIntoL1I(2000, 0x5000, TrafficPrefetch); got != 2000 {
+	if got := h.PrefetchIntoBuffer(2000, 0x5000, TrafficPrefetch); got != 2000 {
 		t.Errorf("resident ready = %d", got)
 	}
 	// From LLC.
 	h.L1I.Flush()
 	h.L2.Flush()
-	ready = h.PrefetchIntoL1I(3000, 0x5000, TrafficPrefetch)
+	ready = h.PrefetchIntoBuffer(3000, 0x5000, TrafficPrefetch)
 	if want := Cycle(3000) + h.Config().L2.HitLatency + h.Config().LLC.HitLatency; ready != want {
 		t.Errorf("LLC-sourced ready = %d, want %d", ready, want)
 	}
@@ -190,26 +192,6 @@ func TestFlushAllObliteratesState(t *testing.T) {
 		if c.CountValid() != 0 {
 			t.Errorf("%s has %d valid lines after FlushAll", c.Config().Name, c.CountValid())
 		}
-	}
-}
-
-func TestThrashFraction(t *testing.T) {
-	h := newTestHierarchy()
-	for i := uint64(0); i < 400; i++ {
-		h.FetchInstr(Cycle(i), i*64)
-	}
-	valid := h.L1I.CountValid() + h.L2.CountValid() + h.LLC.CountValid()
-	var state uint64 = 1
-	rng := func() uint64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return state
-	}
-	h.ThrashFraction(0.9, rng)
-	after := h.L1I.CountValid() + h.L2.CountValid() + h.LLC.CountValid()
-	if after >= valid/2 {
-		t.Errorf("thrash 0.9 left %d of %d lines", after, valid)
 	}
 }
 
@@ -288,7 +270,6 @@ func TestHierarchyPathsAllocs(t *testing.T) {
 			next := code.addrs[i] + 8*LineSize
 			h.PrefetchIntoL2(now, next, TrafficPrefetch)
 			h.PrefetchIntoBuffer(now, next+LineSize, TrafficPrefetch)
-			h.PrefetchIntoL1I(now, next+2*LineSize, TrafficPrefetch)
 			h.PrefetchLineIntoLLC(now, a+4096, Data, TrafficPrefetch)
 		}
 	})

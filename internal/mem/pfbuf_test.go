@@ -96,7 +96,7 @@ func TestPrefetchBufferDuplicateAndResidentSkipped(t *testing.T) {
 func TestPrefetchBufferFlush(t *testing.T) {
 	h := newPFBufHierarchy()
 	h.PrefetchIntoBuffer(0, 0x4000, TrafficPrefetch)
-	h.FlushPrefetchBuffer()
+	h.FlushAll()
 	if h.PFBuf.EvictionUnused != 1 {
 		t.Errorf("flush did not count unused entry: %+v", h.PFBuf)
 	}

@@ -3,7 +3,9 @@ package runner
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 
+	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/cluster"
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
@@ -34,34 +36,50 @@ import (
 // ServiceCycles and LatencyCycles silently zero.
 // v7: Measurement gained FootprintKB/Jaccard (Fig. 6 footprint cells) and
 // Outcome/Detail (chaos cells), which used to bypass the cache.
-const SchemaVersion = 7
+// v8: Mode gained Cold and Idle, and Cells gained WarmupMode and IdleMs:
+// cold, idle-gap and mixed warm-up cells are standard cells, keyed by
+// content instead of a Variant label. Every window now records
+// FirstInvCycles, and record-only cells report their size in
+// JB.LastRecordBytes instead of MetaBytes.
+const SchemaVersion = 8
 
-// Mode selects the execution regime of a measurement cell.
+// Mode is a start condition: the state an invocation finds the machine in
+// (Fig. 1's axis, Sec. 2.3).
 type Mode uint8
 
-// The paper's two regimes (Sec. 2.3).
+// The start conditions. Each is applied before every invocation it
+// governs.
 const (
 	// Reference: back-to-back invocations, fully warm.
 	Reference Mode = iota
 	// Lukewarm: full microarchitectural flush before every invocation — the
 	// interleaved/baseline configuration.
 	Lukewarm
+	// Cold: the instance is evicted (its pages and Jukebox metadata are
+	// gone; a REAP manifest survives), then the microarchitecture is
+	// flushed.
+	Cold
+	// Idle: an idle gap of Cell.IdleMs (serverless.Server.AdvanceIAT), in
+	// which co-resident work partially thrashes every structure.
+	Idle
 )
+
+var modeNames = [...]string{Reference: "ref", Lukewarm: "lukewarm", Cold: "cold", Idle: "idle"}
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
-	if m == Reference {
-		return "ref"
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
-	return "lukewarm"
+	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
 // Cell describes one independent simulation: which workload runs on which
-// platform under which regime, and how much of it is measured. Cells are
-// pure values — the executor builds a fresh server from the content, so two
-// cells with equal content always produce equal measurements. That property
-// is what makes them content-addressable; the content is every field but
-// Exec.
+// platform under which start conditions, and how much of it is measured.
+// Cells are pure values — the executor builds a fresh server from the
+// content, so two cells with equal content always produce equal
+// measurements. That property is what makes them content-addressable; the
+// content is every field but Exec.
 type Cell struct {
 	// Workload names the function (workload.ByName).
 	Workload string
@@ -74,8 +92,15 @@ type Cell struct {
 	Reap *reap.Config
 	// Perfect services instruction fetches at L1 latency (Fig. 10's bound).
 	Perfect bool
-	// Mode is the execution regime.
+	// Mode is the measured invocations' start condition.
 	Mode Mode
+	// WarmupMode, when non-nil, is the warm-up invocations' start
+	// condition; nil warms up under Mode.
+	WarmupMode *Mode
+	// IdleMs is the Idle start condition's gap in milliseconds. It must be
+	// zero unless Mode or the warm-up is Idle; an Idle gap of 0 is a
+	// back-to-back invocation.
+	IdleMs float64
 	// Warmup and Measure are the unmeasured and measured invocation counts.
 	Warmup, Measure int
 	// Audit cross-checks every measured invocation against the faults
@@ -95,9 +120,58 @@ type Cell struct {
 	Exec func(Cell) (Measurement, error)
 }
 
-// Label names the cell in progress lines and telemetry.
+// warmupMode is the warm-up invocations' start condition.
+func (c Cell) warmupMode() Mode {
+	if c.WarmupMode != nil {
+		return *c.WarmupMode
+	}
+	return c.Mode
+}
+
+// start renders the cell's start conditions: the window's, preceded by the
+// warm-up's when they differ ("lukewarm>idle=8ms").
+func (c Cell) start() string {
+	render := func(m Mode) string {
+		if m == Idle {
+			return fmt.Sprintf("idle=%gms", c.IdleMs)
+		}
+		return m.String()
+	}
+	s := render(c.Mode)
+	if w := c.warmupMode(); w != c.Mode {
+		s = render(w) + ">" + s
+	}
+	return s
+}
+
+// validate rejects a cell whose content is contradictory: an Exec without
+// a Variant or the reverse, an unknown Mode, or an IdleMs that no Idle
+// start condition reads or that is not a finite non-negative gap.
+func (c Cell) validate() error {
+	// An Exec cell without a Variant would share a standard cell's key; a
+	// Variant cell without an Exec has nothing to run it.
+	if (c.Exec != nil) != (c.Variant != "") {
+		return fmt.Errorf("runner: cell %s: Exec must be set exactly when Variant is", c.Label())
+	}
+	if c.Mode > Idle || c.warmupMode() > Idle {
+		return cfgerr.New("runner: cell %s: unknown start condition", c.Label())
+	}
+	if !(c.IdleMs >= 0) || math.IsInf(c.IdleMs, 1) {
+		return cfgerr.New("runner: cell %s: IdleMs %v is not a finite gap >= 0", c.Label(), c.IdleMs)
+	}
+	//lukewarm:floateq any set gap, however small, is one nothing reads
+	if c.IdleMs != 0 && c.Mode != Idle && c.warmupMode() != Idle {
+		return cfgerr.New("runner: cell %s: IdleMs %v set, but neither the window nor the warm-up is Idle", c.Label(), c.IdleMs)
+	}
+	return nil
+}
+
+// Label names the cell in progress lines and telemetry: the workload, the
+// mechanism or variant, and the start conditions unless they are the plain
+// lukewarm ones of a mechanism cell, so cells that differ only in their
+// start conditions are labelled apart.
 func (c Cell) Label() string {
-	tag := c.Mode.String()
+	tag := ""
 	switch {
 	case c.Variant != "":
 		tag = c.Variant
@@ -110,6 +184,12 @@ func (c Cell) Label() string {
 	case c.Perfect:
 		tag = "perfect"
 	}
+	switch start := c.start(); {
+	case tag == "":
+		tag = start
+	case start != Lukewarm.String():
+		tag += "/" + start
+	}
 	return c.Workload + "/" + tag
 }
 
@@ -117,11 +197,13 @@ func (c Cell) Label() string {
 // rendering of every field that influences the measurement, plus the schema
 // version. Configurations are flat value structs, so their fmt rendering is
 // canonical; any config change — a cache size, a Jukebox budget, a penalty
-// cycle — lands the cell at a different address.
+// cycle — lands the cell at a different address. The warm-up's start
+// condition is rendered resolved, so a WarmupMode equal to Mode keys like
+// nil.
 func (c Cell) Key() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "schema=%d|wl=%s|cpu=%+v|perfect=%t|mode=%d|warm=%d|meas=%d|audit=%t|variant=%s",
-		SchemaVersion, c.Workload, c.CPU, c.Perfect, c.Mode, c.Warmup, c.Measure, c.Audit, c.Variant)
+	fmt.Fprintf(h, "schema=%d|wl=%s|cpu=%+v|perfect=%t|mode=%d|warmmode=%d|idle=%v|warm=%d|meas=%d|audit=%t|variant=%s",
+		SchemaVersion, c.Workload, c.CPU, c.Perfect, c.Mode, c.warmupMode(), c.IdleMs, c.Warmup, c.Measure, c.Audit, c.Variant)
 	if c.Jukebox != nil {
 		fmt.Fprintf(h, "|jb=%+v", *c.Jukebox)
 	} else {
@@ -151,12 +233,11 @@ type Measurement struct {
 	// cells without a Reap configuration.
 	Reap reap.Stats
 	// FirstInvCycles is the first measured invocation's cycle count — the
-	// start latency a custom executor chose to surface (the coldstart
-	// comparator); zero for standard cells.
+	// start latency a client observes.
 	FirstInvCycles mem.Cycle
-	// MetaBytes is the per-instance metadata cost a custom executor chose to
-	// report (comparator prefetchers); zero for standard cells, whose
-	// Jukebox cost is in JB.
+	// MetaBytes is the per-instance metadata cost a comparator prefetcher's
+	// executor reports (RECAP); zero for other cells, whose Jukebox cost is
+	// in JB.
 	MetaBytes int
 	// Traffic holds a whole-server traffic simulation's result for cells
 	// whose custom executor runs ServeTraffic instead of a per-instance
@@ -198,46 +279,56 @@ func Execute(c Cell) (Measurement, error) {
 	}
 	srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap, PerfectICache: c.Perfect})
 	defer srv.Release()
-	inst := srv.Deploy(w)
-	return MeasureInstance(srv, inst, c.Mode, c.Warmup, c.Measure, c.Audit)
+	return MeasureInstance(srv, srv.Deploy(w), c)
 }
 
-// MeasureInstance runs warmup then measure invocations of inst under md on
-// srv and returns the aggregated measurement window. Custom executors use it
-// after their own server setup. With audit set, every measured invocation
-// and the window's counters are checked against the faults package's
-// conservation invariants.
-func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, md Mode, warmup, measure int, audit bool) (Measurement, error) {
-	invoke := func() cpu.RunResult {
-		if md == Lukewarm {
+// MeasureInstance runs c's warm-up then c's measured invocations of inst on
+// srv, each after its start condition, and returns the aggregated
+// measurement window. Custom executors use it after their own server setup;
+// it reads c's start conditions, counts and Audit, not its platform. With
+// Audit set, every measured invocation and the window's counters are
+// checked against the faults package's conservation invariants.
+func MeasureInstance(srv *serverless.Server, inst *serverless.Instance, c Cell) (Measurement, error) {
+	invoke := func(md Mode) cpu.RunResult {
+		switch md {
+		case Lukewarm:
 			srv.FlushMicroarch()
+		case Cold:
+			inst.Evict()
+			srv.FlushMicroarch()
+		case Idle:
+			srv.AdvanceIAT(c.IdleMs)
 		}
 		return srv.Invoke(inst)
 	}
-	for i := 0; i < warmup; i++ {
-		invoke()
+	warm := c.warmupMode()
+	for i := 0; i < c.Warmup; i++ {
+		invoke(warm)
 	}
-	BeginWindow(srv, inst)
+	beginWindow(srv, inst)
 
 	var out Measurement
-	for i := 0; i < measure; i++ {
-		res := invoke()
-		if audit {
+	for i := 0; i < c.Measure; i++ {
+		res := invoke(c.Mode)
+		if c.Audit {
 			if err := faults.Audit(res); err != nil {
 				return out, fmt.Errorf("%s invocation %d: %w", inst.Workload.Name, i, err)
 			}
+		}
+		if i == 0 {
+			out.FirstInvCycles = res.Cycles
 		}
 		out.Stack.Merge(res.Stack)
 		out.Instrs += res.Instrs
 		out.Cycles += res.Cycles
 	}
-	err := EndWindow(srv, inst, &out, audit, md == Lukewarm)
+	err := endWindow(srv, inst, &out, c.Audit, c.Mode == Lukewarm || c.Mode == Cold)
 	return out, err
 }
 
-// BeginWindow opens a measurement window: it zeroes every counter the
+// beginWindow opens a measurement window: it zeroes every counter the
 // window reports, on srv's core and on inst's mechanisms.
-func BeginWindow(srv *serverless.Server, inst *serverless.Instance) {
+func beginWindow(srv *serverless.Server, inst *serverless.Instance) {
 	srv.Core.Hier.ResetStats()
 	srv.Core.MMU.ResetStats()
 	srv.Core.BP.ResetStats()
@@ -250,14 +341,14 @@ func BeginWindow(srv *serverless.Server, inst *serverless.Instance) {
 	}
 }
 
-// EndWindow closes a window opened by BeginWindow whose invocations the
+// endWindow closes a window opened by beginWindow whose invocations the
 // caller merged into out: it drains unused prefetches and copies the cache,
 // DRAM, Jukebox and REAP counters into out. With audit set it checks the
 // Jukebox and REAP ledgers, and — when flushed reports that every measured
 // invocation started from flushed caches — the cache counters' conservation
 // too; windows that start warm legitimately carry pre-reset prefetched lines
 // across the stats reset.
-func EndWindow(srv *serverless.Server, inst *serverless.Instance, out *Measurement, audit, flushed bool) error {
+func endWindow(srv *serverless.Server, inst *serverless.Instance, out *Measurement, audit, flushed bool) error {
 	hier := srv.Core.Hier
 	hier.DrainUnusedPrefetches()
 	out.L1I = hier.L1I.Stats

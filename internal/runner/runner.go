@@ -1,5 +1,5 @@
 // Package runner is the experiment execution engine: it takes sets of
-// independent simulation cells (workload × platform config × execution mode),
+// independent simulation cells (workload × platform config × start condition),
 // fans them out across a bounded worker pool, and merges the results in
 // deterministic submission order, so any experiment's rendered tables are
 // byte-identical regardless of the worker count.
@@ -10,11 +10,13 @@
 // progress lines. The experiment runners in internal/experiments submit all
 // their measurements through one Engine, which the lukewarm CLI configures
 // from its -jobs, -cache and -progress flags. Engine.Measure is the only way
-// a unit runs: a standard cell runs through Execute; a cell whose setup goes
-// further (a comparator prefetcher, a traffic simulation, a fleet, an idle
-// gap, a footprint walk, a fault injection) carries its own executor in
-// Cell.Exec and a Variant label that keys it apart in the cache, and reports
-// through Measurement's flat fields (Traffic, FootprintKB, Outcome, ...).
+// a unit runs: a standard cell runs through Execute, which applies the cell's
+// start conditions (warm, lukewarm, cold, or after an idle gap; Mode) to a
+// fresh instance; a cell whose setup goes further (a comparator prefetcher, a
+// traffic simulation, a fleet, a footprint walk, a fault injection) carries
+// its own executor in Cell.Exec and a Variant label that keys it apart in
+// the cache, and reports through Measurement's flat fields (Traffic,
+// FootprintKB, Outcome, ...).
 //
 // Determinism contract: a cell's result depends only on the cell's content,
 // never on scheduling. Every cell builds its own simulated server from its
@@ -199,10 +201,8 @@ func (e *Engine) Measure(cells []Cell) ([]Measurement, error) {
 // measureCell serves one cell from the cache or runs it, reporting whether
 // it was a cache hit.
 func (e *Engine) measureCell(c Cell) (Measurement, bool, error) {
-	// An Exec cell without a Variant would share a standard cell's key; a
-	// Variant cell without an Exec has nothing to run it.
-	if (c.Exec != nil) != (c.Variant != "") {
-		return Measurement{}, false, fmt.Errorf("runner: cell %s: Exec must be set exactly when Variant is", c.Label())
+	if err := c.validate(); err != nil {
+		return Measurement{}, false, err
 	}
 	key := c.Key()
 	if m, ok := e.cache.Get(key); ok {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,9 +13,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/core"
 	"lukewarm/internal/cpu"
+	"lukewarm/internal/faults"
 	"lukewarm/internal/mem"
+	"lukewarm/internal/reap"
 	"lukewarm/internal/serverless"
 	"lukewarm/internal/stats"
 	"lukewarm/internal/workload"
@@ -122,6 +126,12 @@ func TestCellKey(t *testing.T) {
 	if withJB.Key() != sameJB.Key() {
 		t.Error("equal Jukebox configs behind distinct pointers must share a key")
 	}
+	sameWarm := base
+	lw := Lukewarm
+	sameWarm.WarmupMode = &lw
+	if sameWarm.Key() != base.Key() {
+		t.Error("a WarmupMode equal to Mode must key like nil")
+	}
 	withExec := base
 	withExec.Exec = func(Cell) (Measurement, error) { return Measurement{}, nil }
 	if withExec.Key() != base.Key() {
@@ -132,6 +142,10 @@ func TestCellKey(t *testing.T) {
 		func(c *Cell) { c.CPU = cpu.BroadwellConfig() },
 		func(c *Cell) { c.Perfect = true },
 		func(c *Cell) { c.Mode = Reference },
+		func(c *Cell) { c.Mode = Cold },
+		func(c *Cell) { c.Mode = Idle },
+		func(c *Cell) { c.Mode, c.IdleMs = Idle, 8 },
+		func(c *Cell) { ref := Reference; c.WarmupMode = &ref },
 		func(c *Cell) { c.Warmup = 9 },
 		func(c *Cell) { c.Measure = 9 },
 		func(c *Cell) { c.Audit = true },
@@ -167,6 +181,154 @@ func TestExecuteRejectsVariantCells(t *testing.T) {
 	}
 }
 
+// TestStartConditionsMatchHandRolled pins each start condition that
+// replaced a hand-written invocation sequence to that sequence, bit for bit:
+// a cold or idle window after a lukewarm warm-up (the cold-start
+// comparator, audited, whole Measurement), a reference window after a
+// lukewarm warm-up (the pre-warm experiment's warm reference), and an idle
+// window after a reference warm-up (Fig. 1, IAT 0 included). The last two
+// sequences reported only Instrs and Cycles, which is what they are held
+// to.
+func TestStartConditionsMatchHandRolled(t *testing.T) {
+	lw, ref := Lukewarm, Reference
+	jb, rc := core.DefaultConfig(), reap.DefaultConfig()
+	deploy := func(c Cell) (*serverless.Server, *serverless.Instance) {
+		w, err := workload.ByName(c.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox, Reap: c.Reap})
+		t.Cleanup(srv.Release)
+		return srv, srv.Deploy(w)
+	}
+	// coldstart is the cold-start comparator's former loop.
+	coldstart := func(c Cell) Measurement {
+		srv, inst := deploy(c)
+		srv.RunLukewarm(inst, c.Warmup)
+		beginWindow(srv, inst)
+		var out Measurement
+		for i := 0; i < c.Measure; i++ {
+			if c.Mode == Cold {
+				inst.Evict()
+				srv.FlushMicroarch()
+			} else {
+				srv.AdvanceIAT(c.IdleMs)
+			}
+			res := srv.Invoke(inst)
+			if err := faults.Audit(res); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				out.FirstInvCycles = res.Cycles
+			}
+			out.Stack.Merge(res.Stack)
+			out.Instrs += res.Instrs
+			out.Cycles += res.Cycles
+		}
+		if err := endWindow(srv, inst, &out, true, c.Mode == Cold); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// prewarmWarm is the pre-warm experiment's former warm reference.
+	prewarmWarm := func(c Cell) Measurement {
+		srv, inst := deploy(c)
+		srv.RunLukewarm(inst, c.Warmup)
+		var out Measurement
+		for i := 0; i < c.Measure; i++ {
+			res := srv.Invoke(inst)
+			out.Instrs += res.Instrs
+			out.Cycles += res.Cycles
+		}
+		return out
+	}
+	// fig1 is Fig. 1's former point, whose warm-up ran one invocation more
+	// than its cell's count.
+	fig1 := func(c Cell) Measurement {
+		srv, inst := deploy(c)
+		srv.RunReference(inst, c.Warmup)
+		var out Measurement
+		for k := 0; k < c.Measure; k++ {
+			r := srv.RunWithIAT(inst, 1, c.IdleMs)
+			out.Instrs += r.Instrs
+			out.Cycles += r.Cycles
+		}
+		return out
+	}
+	instrsCycles := func(m Measurement) Measurement { return Measurement{Instrs: m.Instrs, Cycles: m.Cycles} }
+	base := Cell{Workload: "Auth-G", CPU: cpu.SkylakeConfig(), Warmup: 2, Measure: 2, Audit: true, WarmupMode: &lw}
+	fig1Cell := func(c *Cell, iatMs float64) {
+		c.Mode, c.IdleMs, c.WarmupMode, c.CPU = Idle, iatMs, &ref, cpu.CharacterizationConfig()
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Cell)
+		old  func(Cell) Measurement
+		view func(Measurement) Measurement
+	}{
+		{"cold", func(c *Cell) { c.Mode = Cold }, coldstart, nil},
+		{"cold-mechanisms", func(c *Cell) { c.Mode, c.Jukebox, c.Reap = Cold, &jb, &rc }, coldstart, nil},
+		{"idle-0ms", func(c *Cell) { c.Mode = Idle }, coldstart, nil},
+		{"idle-64ms-mechanisms", func(c *Cell) { c.Mode, c.IdleMs, c.Jukebox, c.Reap = Idle, 64, &jb, &rc }, coldstart, nil},
+		{"lukewarm-warmup-ref-window", func(c *Cell) { c.Mode = Reference }, prewarmWarm, instrsCycles},
+		{"ref-warmup-idle-0ms", func(c *Cell) { fig1Cell(c, 0) }, fig1, instrsCycles},
+		{"ref-warmup-idle-10ms", func(c *Cell) { fig1Cell(c, 10) }, fig1, instrsCycles},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := base
+			tc.set(&c)
+			got, err := testEngine(t, 1).Measure([]Cell{c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.old(c)
+			if tc.view != nil {
+				got[0] = tc.view(got[0])
+			}
+			if !reflect.DeepEqual(got[0], want) {
+				t.Errorf("%s differs from the hand-rolled sequence:\n got %+v\nwant %+v", c.Label(), got[0], want)
+			}
+		})
+	}
+}
+
+// TestMeasureRejectsStrayIdleMs pins that an idle gap has exactly one
+// reader: Engine.Measure rejects an IdleMs on a cell with no Idle start
+// condition, and a gap that is negative or not finite, as configuration
+// errors; it runs one on an Idle window or an Idle warm-up.
+func TestMeasureRejectsStrayIdleMs(t *testing.T) {
+	ran := 0
+	exec := func(Cell) (Measurement, error) { ran++; return Measurement{}, nil }
+	idle := Idle
+	for _, tc := range []struct {
+		cell Cell
+		ok   bool
+	}{
+		{Cell{Mode: Lukewarm, IdleMs: 8}, false},
+		{Cell{Mode: Reference, IdleMs: 8}, false},
+		{Cell{Mode: Cold, IdleMs: 8}, false},
+		{Cell{Mode: Idle, IdleMs: -1}, false},
+		{Cell{Mode: Idle, IdleMs: math.Inf(1)}, false},
+		{Cell{Mode: Idle, IdleMs: math.NaN()}, false},
+		{Cell{Mode: Idle + 1}, false},
+		{Cell{Mode: Idle, IdleMs: 8}, true},
+		{Cell{Mode: Lukewarm, WarmupMode: &idle, IdleMs: 8}, true},
+	} {
+		c := tc.cell
+		c.Workload, c.Variant, c.Exec, c.Measure = "u", "v", exec, 1
+		before := ran
+		_, err := testEngine(t, 1).Measure([]Cell{c})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v, want it run", c.Label(), err)
+		case !tc.ok && !errors.Is(err, cfgerr.ErrBadConfig):
+			t.Errorf("%s: err = %v, want ErrBadConfig", c.Label(), err)
+		case !tc.ok && ran != before:
+			t.Errorf("%s: a rejected cell ran", c.Label())
+		}
+	}
+}
+
 func TestMeasureDeterministicAcrossJobs(t *testing.T) {
 	cells := quickCells()
 	ref, err := testEngine(t, 1).Measure(cells)
@@ -197,7 +359,7 @@ func TestMeasureRecyclesServers(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := serverless.New(serverless.Config{CPU: c.CPU, Jukebox: c.Jukebox})
-		if want[i], err = MeasureInstance(srv, srv.Deploy(w), c.Mode, c.Warmup, c.Measure, c.Audit); err != nil {
+		if want[i], err = MeasureInstance(srv, srv.Deploy(w), c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -504,7 +666,7 @@ func TestProgressLines(t *testing.T) {
 	// One line per cell and batch: "[done/total] phase label wall", with a
 	// " (cached)" suffix on hits (the second batch).
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	want := []string{"[1/2] figX u/0 ", "[2/2] figX u/1 ", "[1/2] figX u/0 ", "[2/2] figX u/1 "}
+	want := []string{"[1/2] figX u/0/ref ", "[2/2] figX u/1/ref ", "[1/2] figX u/0/ref ", "[2/2] figX u/1/ref "}
 	if len(lines) != len(want) {
 		t.Fatalf("progress output %q: %d lines, want %d", buf.String(), len(lines), len(want))
 	}
@@ -523,22 +685,31 @@ func TestDefaultEngine(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if Reference.String() != "ref" || Lukewarm.String() != "lukewarm" {
+	if Reference.String() != "ref" || Lukewarm.String() != "lukewarm" || Cold.String() != "cold" || Idle.String() != "idle" {
 		t.Error("mode strings changed; cache schema may need a bump")
 	}
 }
 
 func TestCellLabel(t *testing.T) {
 	jb := core.DefaultConfig()
+	lw := Lukewarm
+	ref := Reference
 	for _, tc := range []struct {
 		cell Cell
 		want string
 	}{
 		{Cell{Workload: "W", Mode: Lukewarm}, "W/lukewarm"},
 		{Cell{Workload: "W", Mode: Reference}, "W/ref"},
-		{Cell{Workload: "W", Jukebox: &jb}, "W/jukebox"},
-		{Cell{Workload: "W", Perfect: true}, "W/perfect"},
-		{Cell{Workload: "W", Variant: "v", Jukebox: &jb}, "W/v"},
+		{Cell{Workload: "W", Jukebox: &jb, Mode: Lukewarm}, "W/jukebox"},
+		{Cell{Workload: "W", Perfect: true, Mode: Lukewarm}, "W/perfect"},
+		{Cell{Workload: "W", Variant: "v", Jukebox: &jb, Mode: Lukewarm}, "W/v"},
+		// A start condition other than lukewarm is named.
+		{Cell{Workload: "W", Jukebox: &jb, Mode: Reference}, "W/jukebox/ref"},
+		{Cell{Workload: "W", Mode: Cold, WarmupMode: &lw}, "W/lukewarm>cold"},
+		{Cell{Workload: "W", Jukebox: &jb, Mode: Idle, IdleMs: 8, WarmupMode: &lw}, "W/jukebox/lukewarm>idle=8ms"},
+		{Cell{Workload: "W", Mode: Idle, WarmupMode: &ref}, "W/ref>idle=0ms"},
+		{Cell{Workload: "W", Variant: "v", Mode: Lukewarm, WarmupMode: &ref}, "W/v/ref>lukewarm"},
+		{Cell{Workload: "W", Mode: Lukewarm, WarmupMode: &lw}, "W/lukewarm"},
 	} {
 		if got := tc.cell.Label(); got != tc.want {
 			t.Errorf("Label() = %q, want %q", got, tc.want)

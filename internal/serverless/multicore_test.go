@@ -129,14 +129,14 @@ func TestPerCorePrefetcherAttachment(t *testing.T) {
 	s := New(Config{Cores: 2})
 	inst := s.Deploy(mustWorkload(t, "ProdL-G"))
 	rec := &countingPF{}
-	s.AttachCorePrefetcherOn(1, rec)
-	s.InvokeOn(0, inst)
-	if rec.fetches != 0 {
-		t.Error("core-1 prefetcher saw core-0 traffic")
-	}
+	s.AttachCorePrefetcher(rec)
 	s.InvokeOn(1, inst)
+	if rec.fetches != 0 {
+		t.Error("core-0 prefetcher saw core-1 traffic")
+	}
+	s.InvokeOn(0, inst)
 	if rec.fetches == 0 {
-		t.Error("core-1 prefetcher saw nothing on core 1")
+		t.Error("core-0 prefetcher saw nothing on core 0")
 	}
 }
 

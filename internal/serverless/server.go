@@ -105,11 +105,6 @@ type Server struct {
 // cpu.MultiPrefetcher. Build the prefetcher against srv.Core.Hier.
 func (s *Server) AttachCorePrefetcher(pf cpu.InstrPrefetcher) { s.corePFs[0] = pf }
 
-// AttachCorePrefetcherOn installs a core-level prefetcher on core idx;
-// core-level structures are per-core hardware, so multi-core setups attach
-// one instance per core (built against s.Cores[idx].Hier).
-func (s *Server) AttachCorePrefetcherOn(idx int, pf cpu.InstrPrefetcher) { s.corePFs[idx] = pf }
-
 // withDefaults fills zero-valued config fields.
 func (cfg Config) withDefaults() Config {
 	if cfg.CPU.DispatchWidth == 0 {

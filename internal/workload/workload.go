@@ -18,6 +18,8 @@
 package workload
 
 import (
+	"sync"
+
 	"lukewarm/internal/cfgerr"
 	"lukewarm/internal/program"
 )
@@ -171,13 +173,27 @@ func hashName(name string) uint64 {
 	return h
 }
 
-// Suite builds the full 20-function suite in the paper's figure order.
-// Programs are constructed deterministically; calling Suite twice yields
-// behaviorally identical workloads.
+// programs holds each spec's program, built on first use and shared by
+// every caller for the life of the process: programs are immutable, so
+// concurrent cells and instances may walk one.
+var programs = make([]struct {
+	once sync.Once
+	p    *program.Program
+}, len(specs))
+
+// at returns the workload of specs[i].
+func at(i int) Workload {
+	s, b := specs[i], &programs[i]
+	b.once.Do(func() { b.p = build(s) })
+	return Workload{Name: s.name, App: s.app, Lang: s.lang, Program: b.p}
+}
+
+// Suite returns the full 20-function suite in the paper's figure order.
+// Every call shares the same programs.
 func Suite() []Workload {
 	ws := make([]Workload, len(specs))
-	for i, s := range specs {
-		ws[i] = Workload{Name: s.name, App: s.app, Lang: s.lang, Program: build(s)}
+	for i := range specs {
+		ws[i] = at(i)
 	}
 	return ws
 }
@@ -191,11 +207,12 @@ func Names() []string {
 	return ns
 }
 
-// ByName builds the named workload, or an error listing valid names.
+// ByName returns the named workload, or an error listing valid names. The
+// program is built once per process and shared by every call.
 func ByName(name string) (Workload, error) {
-	for _, s := range specs {
+	for i, s := range specs {
 		if s.name == name {
-			return Workload{Name: s.name, App: s.app, Lang: s.lang, Program: build(s)}, nil
+			return at(i), nil
 		}
 	}
 	return Workload{}, cfgerr.New("workload: unknown function %q (see workload.Names)", name)

@@ -53,6 +53,15 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("Nope-X"); err == nil {
 		t.Error("unknown name accepted")
 	}
+	// Programs are built once per process and shared.
+	if again, _ := ByName("Auth-G"); again.Program != w.Program {
+		t.Error("ByName rebuilt the program")
+	}
+	for _, s := range Suite() {
+		if s.Name == "Auth-G" && s.Program != w.Program {
+			t.Error("Suite and ByName hold different programs")
+		}
+	}
 }
 
 func TestRepresentativesExist(t *testing.T) {
@@ -132,10 +141,9 @@ func TestCommonalityCalibration(t *testing.T) {
 }
 
 func TestSuiteDeterministic(t *testing.T) {
-	a, b := Suite(), Suite()
-	for i := range a {
-		if a[i].Program.DynamicLength(3) != b[i].Program.DynamicLength(3) {
-			t.Errorf("%s: non-deterministic rebuild", a[i].Name)
+	for i, w := range Suite() {
+		if build(specs[i]).DynamicLength(3) != w.Program.DynamicLength(3) {
+			t.Errorf("%s: non-deterministic rebuild", w.Name)
 		}
 	}
 }
